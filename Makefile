@@ -32,15 +32,15 @@ fmt:
 test:
 	$(GO) test ./...
 
-# The worker-pool campaign engine (and the checkpoint-forking paths) live
-# in internal/core, the packed bitset + TAP fast path in internal/scan,
+# The campaign engine (executors, commit stage and checkpoint forking)
+# lives in internal/core, the packed bitset + TAP fast path in internal/scan,
 # the chaos/retry taxonomy and the checkpoint stores in internal/target,
 # the delta snapshot scheme in internal/thor, the restorable plant models
 # in internal/envsim, the concurrent recorder/broadcaster in
 # internal/obsv, the WAL group-commit machinery in internal/sqldb, and the
 # fault-injecting filesystem (shared op counter + durability maps) in
 # internal/vfs, the multi-tenant campaign service (queue scheduler,
-# shard aggregator, drain) in internal/service, and the store layer that
+# drain) in internal/service, and the store layer that
 # drains provenance journals while runners emit into them in
 # internal/dbase; run all ten under the race detector on every change.
 race:
@@ -113,8 +113,8 @@ storagesmoke:
 # seeded random point mid-campaign, inspected offline (every persisted
 # row bit-identical to a no-crash reference), restarted on the same data
 # directory, and polled until the resumed campaigns match the reference
-# row for row. Shard counts rotate across iterations so sharded
-# interruption and reassembly ride the same oracle.
+# row for row. Worker counts (1/2/3) rotate across iterations so
+# multi-worker interruption and resume ride the same oracle.
 servesmoke:
 	$(GO) run ./cmd/crashtest -serve -n 10 -experiments 80 -seed 3
 

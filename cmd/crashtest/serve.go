@@ -13,9 +13,9 @@
 // resumed stores must match the reference runs row for row, and a final
 // clean drain must leave no queue file behind.
 //
-// Shards are rotated in (campaign A runs sharded every third iteration,
-// campaign B every other), so sharded interruption, resume and reassembly
-// ride through the same drain/restart oracle.
+// Worker counts are rotated in (campaign A runs 2 workers every third
+// iteration, campaign B 3 workers every other, 1 otherwise), so multi-worker
+// interruption and resume ride through the same drain/restart oracle.
 package main
 
 import (
@@ -280,7 +280,7 @@ type serveCampaign struct {
 }
 
 // makeServeCampaign builds the spec and runs its in-memory reference.
-func makeServeCampaign(tenant, name string, seed int64, shards int, opt options) (serveCampaign, error) {
+func makeServeCampaign(tenant, name string, seed int64, workers int, opt options) (serveCampaign, error) {
 	sc := serveCampaign{
 		spec: goofi.CampaignSpec{
 			Tenant:      tenant,
@@ -291,7 +291,7 @@ func makeServeCampaign(tenant, name string, seed int64, shards int, opt options)
 			Seed:        seed,
 			TMin:        10,
 			TMax:        1400,
-			Shards:      shards,
+			Workers:     workers,
 			Chaos:       opt.Chaos,
 		},
 		id: tenant + "/" + name,
@@ -347,19 +347,20 @@ func serveIteration(exe string, opt options, iter int) (iterResult, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	// Rotate shard counts so sharded interruption and resume get coverage.
-	shardsA, shardsB := 0, 0
+	// Rotate worker counts so multi-worker interruption and resume get
+	// coverage.
+	workersA, workersB := 1, 1
 	if iter%3 == 2 {
-		shardsA = 2
+		workersA = 2
 	}
 	if iter%2 == 1 {
-		shardsB = 3
+		workersB = 3
 	}
-	a, err := makeServeCampaign("acme", fmt.Sprintf("drill-%03d-a", iter), seed, shardsA, opt)
+	a, err := makeServeCampaign("acme", fmt.Sprintf("drill-%03d-a", iter), seed, workersA, opt)
 	if err != nil {
 		return res, err
 	}
-	b, err := makeServeCampaign("beta", fmt.Sprintf("drill-%03d-b", iter), seed+1000, shardsB, opt)
+	b, err := makeServeCampaign("beta", fmt.Sprintf("drill-%03d-b", iter), seed+1000, workersB, opt)
 	if err != nil {
 		return res, err
 	}

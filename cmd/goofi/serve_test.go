@@ -241,46 +241,6 @@ func TestServiceAcceptance(t *testing.T) {
 	}
 }
 
-// TestServiceShardedAcceptance runs the acceptance campaign split across 3
-// shards and requires the exact same persisted rows as the unsharded service
-// run — the shard-reassembly half of the acceptance criteria.
-func TestServiceShardedAcceptance(t *testing.T) {
-	dirPlain, dirSharded := t.TempDir(), t.TempDir()
-	svcPlain, _ := startService(t, dirPlain)
-	svcSharded, _ := startService(t, dirSharded)
-
-	spec := acceptanceSpec("acme", "accept")
-	if _, err := svcPlain.Submit(spec); err != nil {
-		t.Fatal(err)
-	}
-	spec.Shards = 3
-	if _, err := svcSharded.Submit(spec); err != nil {
-		t.Fatal(err)
-	}
-	for _, svc := range []*goofi.CampaignService{svcPlain, svcSharded} {
-		deadline := time.Now().Add(120 * time.Second)
-		for {
-			st, err := svc.Status("acme/accept")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Status == "done" {
-				break
-			}
-			if st.Status == "failed" || time.Now().After(deadline) {
-				t.Fatalf("campaign state %s (%s)", st.Status, st.Error)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-
-	want := experimentRows(t, filepath.Join(dirPlain, "acme", "accept.db"), "accept")
-	got := experimentRows(t, filepath.Join(dirSharded, "acme", "accept.db"), "accept")
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("sharded service rows diverge from unsharded (rows %d vs %d)", len(got), len(want))
-	}
-}
-
 // TestWatchReconnectFlappingServer feeds goofi watch a server that drops the
 // connection after every two frames: the bounded-reconnect loop must ride
 // through the flapping on the broadcaster's replay and still end on the

@@ -544,7 +544,7 @@ type MetricsDiff = obsv.SnapshotDiff
 func DiffMetrics(a, b MetricsSnapshot) MetricsDiff { return obsv.DiffSnapshots(a, b) }
 
 // Provenance tracing: a recorder built with RecorderOptions{Journal: true}
-// collects causal wide events — campaign run → shard → experiment → attempt —
+// collects causal wide events — campaign run → experiment → attempt —
 // from every engine layer (plan draws, fault injections, retries, hangs,
 // chaos faults, checkpoint restores, WAL commit batches, storage faults,
 // service HTTP requests) into a bounded in-memory ring. Drain the ring into
@@ -586,8 +586,7 @@ func FormatTraceTimeline(w io.Writer, events []WideEvent, experiment string) err
 }
 
 // WriteChromeTraceEvents renders wide events as a Chrome trace_event file
-// (load in chrome://tracing or Perfetto): one process lane per shard, one
-// thread lane per worker plus reserved lanes for WAL, storage and HTTP.
+// (load in chrome://tracing or Perfetto): one thread lane per worker plus reserved lanes for WAL, storage and HTTP.
 func WriteChromeTraceEvents(w io.Writer, events []WideEvent) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(obsv.ChromeTrace(events))
@@ -640,8 +639,8 @@ func WilsonInterval(k, n int, z float64) CoverageInterval { return analysis.Wils
 // Campaign as a service: a multi-tenant daemon (`goofi serve`) that accepts
 // campaign submissions over a JSON/HTTP API, queues them behind a bounded
 // scheduler, executes each against its tenant's own WAL-backed database —
-// optionally split across in-process shards whose reassembled rows are
-// bit-identical to a single-process run — and survives SIGTERM by
+// optionally on several workers, whose rows are bit-identical to a
+// single-worker run — and survives SIGTERM by
 // checkpointing in-flight campaigns and persisting the queue for resume.
 type (
 	// CampaignService is the daemon; mount its Handler on an HTTP server

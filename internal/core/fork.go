@@ -2,25 +2,20 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"goofi/internal/dbase"
 	"goofi/internal/faultmodel"
 	"goofi/internal/obsv"
 	"goofi/internal/target"
 )
 
-// This file is the golden-run checkpoint-forking engine (Campaign.Fork): the
-// reference run snapshots the complete system state — CPU, caches, memory,
-// debug unit, TAP stage and environment simulator — at a grid of cycles plus
-// every distinct first-injection time of the campaign's pre-drawn plans. Each
-// experiment then restores the nearest checkpoint at or before its first
-// injection and executes only the suffix, instead of re-running the fault-free
-// prefix from reset.
+// This file is golden-run checkpoint forking (Campaign.Fork), as the campaign
+// engine applies it: the reference run snapshots the complete system state —
+// CPU, caches, memory, debug unit, TAP stage and environment simulator — at a
+// grid of cycles plus every distinct first-injection time of the campaign's
+// pre-drawn plans. Each experiment then restores the nearest checkpoint at or
+// before its first injection and executes only the suffix, instead of
+// re-running the fault-free prefix from reset.
 //
 // The optimisation is behaviour-preserving for a deterministic target:
 // restoring the snapshot keyed by time t yields exactly the state a plain run
@@ -29,20 +24,11 @@ import (
 // still drawn on the coordinator in experiment order from the single seeded
 // PRNG, so the logged rows and state vectors are bit-identical to a
 // non-forking run of the same seed — forking reorders execution, never the
-// plan stream, and rows are released to the store in plan order.
+// plan stream.
 
 // defaultCheckpointMem is the harvest/pool memory budget when
 // Campaign.CheckpointMem is zero.
 const defaultCheckpointMem = 64 << 20
-
-// forkJob is one pre-planned experiment with the first-injection time its
-// checkpoint restore is keyed by.
-type forkJob struct {
-	idx       int
-	name      string
-	plan      faultmodel.Plan
-	firstTime uint64
-}
 
 // forkFirstTime is the cycle an experiment's checkpoint lookup is keyed by:
 // the earliest planned injection time, or 0 for pre-runtime injection (the
@@ -59,11 +45,12 @@ func forkFirstTime(technique string, plan faultmodel.Plan) uint64 {
 }
 
 // forkSource holds the checkpoints exported from the golden run, shared
-// read-only by every worker. cycles is sorted ascending and always starts
+// read-only by every executor. cycles is sorted ascending and always starts
 // with 0 (the armed, not-yet-executed workload).
 type forkSource struct {
 	cycles []uint64
 	snaps  map[uint64]any
+	budget int64
 }
 
 // nearest returns the largest harvested cycle at or before t.
@@ -72,44 +59,31 @@ func (s *forkSource) nearest(t uint64) uint64 {
 	return s.cycles[i-1]
 }
 
-// forkWorker owns one target instance and its imported checkpoint pool. The
-// pool is a CheckpointMem-bounded LRU over the source's snapshots. A
-// quarantined instance takes its worker (and pool) down with it — the
-// replacement target gets a freshly bound worker with an empty pool, so a
-// checkpoint cached on a poisoned target is never trusted again.
-type forkWorker struct {
-	r      *Runner
-	tech   technique
-	src    *forkSource
-	budget int64
-
-	ops target.Operations
-	cs  target.CheckpointStore
-	lru []uint64 // imported checkpoint ids, least recently used first
+// forkPool is a fork-aware executor's checkpoint pool: a CheckpointMem-bounded
+// LRU of source snapshots imported into the executor's target.
+type forkPool struct {
+	r    *Runner
+	tech technique
+	src  *forkSource
+	cs   target.CheckpointStore
+	lru  []uint64 // imported checkpoint ids, least recently used first
 }
 
-// bind attaches the worker to a target instance, clearing any checkpoint
-// state it may carry and invalidating the worker's imported pool.
-func (w *forkWorker) bind(ops target.Operations) error {
+// pool binds an empty checkpoint pool to an adopted executor target.
+func (s *forkSource) pool(r *Runner, tech technique, ops target.Operations) (*forkPool, error) {
 	cs, ok := target.AsCheckpointStore(ops)
 	if !ok {
-		return fmt.Errorf("core: fork worker target %s has no checkpoint store", ops.Name())
+		return nil, fmt.Errorf("core: fork executor target %s has no checkpoint store", ops.Name())
 	}
-	ops.SetDetailMode(false)
-	if cp, ok := ops.(target.Checkpointer); ok {
-		cp.ClearCheckpoint()
-	}
-	cs.DropCheckpoints()
-	w.ops, w.cs, w.lru = ops, cs, nil
-	w.r.Recorder.SetGauge("fork.pool.size", 0)
-	return nil
+	r.Recorder.SetGauge("fork.pool.size", 0)
+	return &forkPool{r: r, tech: tech, src: s, cs: cs}, nil
 }
 
-// ensure makes checkpoint id resident in the worker's pool, importing it from
-// the source on a miss and evicting least recently used imports past the
-// memory budget. A missing source snapshot is not an error — the restore will
-// miss and the experiment falls back to the plain algorithm.
-func (w *forkWorker) ensure(id uint64) error {
+// ensure makes checkpoint id resident in the pool, importing it from the
+// source on a miss and evicting least recently used imports past the memory
+// budget. A missing source snapshot is not an error — the restore will miss
+// and the experiment falls back to the plain algorithm.
+func (w *forkPool) ensure(id uint64) error {
 	for i, v := range w.lru {
 		if v == id {
 			w.lru = append(append(w.lru[:i], w.lru[i+1:]...), id)
@@ -126,7 +100,7 @@ func (w *forkWorker) ensure(id uint64) error {
 		return err
 	}
 	w.lru = append(w.lru, id)
-	for w.cs.CheckpointBytes() > w.budget && len(w.lru) > 1 {
+	for w.cs.CheckpointBytes() > w.src.budget && len(w.lru) > 1 {
 		w.cs.DropCheckpointAt(w.lru[0])
 		w.lru = w.lru[1:]
 	}
@@ -142,7 +116,7 @@ func (w *forkWorker) ensure(id uint64) error {
 // the target between attempts). The few memory writes prepare costs are
 // overwritten by the restore; the prefix execution is what the checkpoint
 // amortises.
-func (w *forkWorker) run(ops target.Operations, c Campaign, plan faultmodel.Plan) (Experiment, error) {
+func (w *forkPool) run(ops target.Operations, c Campaign, plan faultmodel.Plan) (Experiment, error) {
 	id := w.src.nearest(forkFirstTime(c.Technique, plan))
 	if err := prepare(ops, c); err != nil {
 		return Experiment{}, err
@@ -207,19 +181,58 @@ func forkSuffix(ops target.Operations, c Campaign, plan faultmodel.Plan) (Experi
 	return finish(ops, c, plan, injected)
 }
 
-// goldenRun builds the reference-run body: the plain fault-free execution,
-// interleaved with checkpoint saves at the candidate cycles. Saving via
-// breakpoints is outcome-invariant — the debug unit halts between
+// harvest plans and collects the golden run's checkpoints.
+type harvest struct {
+	candidates []uint64
+	budget     int64
+	saved      []uint64
+	cs         target.CheckpointStore
+}
+
+// newHarvest picks the candidate checkpoint cycles: the configured grid plus
+// every distinct first-injection time, so most experiments restore at
+// exactly their injection point and re-execute zero prefix cycles.
+func newHarvest(c Campaign, jobs []job) *harvest {
+	set := map[uint64]bool{0: true}
+	for _, j := range jobs {
+		set[j.firstTime] = true
+	}
+	every := c.CheckpointEvery
+	if every == 0 {
+		every = max(1, c.InjectMaxTime/16)
+	}
+	for t := every; t <= c.InjectMaxTime; t += every {
+		set[t] = true
+	}
+	h := &harvest{budget: c.CheckpointMem}
+	if h.budget == 0 {
+		h.budget = defaultCheckpointMem
+	}
+	for t := range set {
+		h.candidates = append(h.candidates, t)
+	}
+	sort.Slice(h.candidates, func(i, j int) bool { return h.candidates[i] < h.candidates[j] })
+	return h
+}
+
+// golden builds the reference-run body on ops: the plain fault-free
+// execution, interleaved with checkpoint saves at the candidate cycles.
+// Saving via breakpoints is outcome-invariant — the debug unit halts between
 // instructions without touching architectural state — so the logged reference
 // row is byte-identical to a non-forking reference. When the harvest
 // overflows the memory budget, the checkpoint closest to its predecessor is
 // dropped (losing the least restore coverage); the cycle-0 snapshot, which
 // carries the full golden image the deltas alias, is always kept.
-func (r *Runner) goldenRun(cs target.CheckpointStore, candidates []uint64, budget int64, saved *[]uint64) Algorithm {
+func (h *harvest) golden(r *Runner, ops target.Operations) Algorithm {
+	cs, ok := target.AsCheckpointStore(ops)
+	h.cs = cs
 	return func(ops target.Operations, c Campaign, plan faultmodel.Plan) (Experiment, error) {
+		if !ok {
+			return Experiment{}, fmt.Errorf("core: golden run target %s has no checkpoint store", ops.Name())
+		}
 		// Retry hygiene: a partial harvest from a failed attempt is dropped.
 		cs.DropCheckpoints()
-		*saved = (*saved)[:0]
+		h.saved = h.saved[:0]
 		if err := prepare(ops, c); err != nil {
 			return Experiment{}, err
 		}
@@ -227,10 +240,10 @@ func (r *Runner) goldenRun(cs target.CheckpointStore, candidates []uint64, budge
 			if err := cs.SaveCheckpointAt(t); err != nil {
 				return err
 			}
-			*saved = append(*saved, t)
+			h.saved = append(h.saved, t)
 			r.Recorder.Count("fork.checkpoints.saved", 1)
-			for cs.CheckpointBytes() > budget && len(*saved) > 1 {
-				sl := *saved
+			for cs.CheckpointBytes() > h.budget && len(h.saved) > 1 {
+				sl := h.saved
 				drop := 1
 				for k := 2; k < len(sl); k++ {
 					if sl[k]-sl[k-1] < sl[drop]-sl[drop-1] {
@@ -238,7 +251,7 @@ func (r *Runner) goldenRun(cs target.CheckpointStore, candidates []uint64, budge
 					}
 				}
 				cs.DropCheckpointAt(sl[drop])
-				*saved = append(sl[:drop], sl[drop+1:]...)
+				h.saved = append(sl[:drop], sl[drop+1:]...)
 				r.Recorder.Count("fork.checkpoints.dropped", 1)
 			}
 			return nil
@@ -246,7 +259,7 @@ func (r *Runner) goldenRun(cs target.CheckpointStore, candidates []uint64, budge
 		if err := save(0); err != nil {
 			return Experiment{}, err
 		}
-		for _, t := range candidates {
+		for _, t := range h.candidates {
 			if t == 0 {
 				continue
 			}
@@ -282,390 +295,19 @@ func (r *Runner) goldenRun(cs target.CheckpointStore, candidates []uint64, budge
 	}
 }
 
-// runForked is the checkpoint-forking campaign engine. Plans are pre-drawn on
-// the coordinator in experiment order (the PRNG stream is identical to a
-// sequential run), the golden reference run harvests the checkpoint set, and
-// jobs fan out round-robin to workers that each execute their slice in
-// first-injection-time order over a per-worker checkpoint pool. Results are
-// released to the store in plan order through a reorder buffer. Resume,
-// Pause/Stop, StopCondition and the quarantine/re-mint fault tolerance of the
-// parallel engine are preserved; a quarantined worker's imported pool is
-// invalidated with the instance.
-func (r *Runner) runForked(tech technique, locs []faultmodel.Location, logged map[string]bool, sum Summary, opsPoisoned *bool) (Summary, error) {
-	c := r.campaign
-	planFn := c.Model.Plan
-	if r.PlanFunc != nil {
-		planFn = r.PlanFunc
-	}
-	rng := rand.New(rand.NewSource(c.Seed))
-	psp := r.Recorder.Begin(obsv.PhasePlan, 0)
-	jobs := make([]forkJob, 0, c.NExperiments)
-	harvest := map[uint64]bool{0: true}
-	for i := 0; i < c.NExperiments; i++ {
-		// Drawn even for experiments skipped on resume: the stream stays
-		// aligned.
-		plan, err := planFn(rng, locs, c.InjectMinTime, c.InjectMaxTime, c.Workload.MaxCycles)
-		if err != nil {
-			psp.End()
-			return sum, fmt.Errorf("core: experiment %d: %w", i, err)
-		}
-		name := fmt.Sprintf("%s/e%04d", c.Name, i)
-		if logged[name] {
-			sum.Skipped++
-			r.Recorder.Count("experiments.skipped", 1)
-			continue
-		}
-		ft := forkFirstTime(c.Technique, plan)
-		harvest[ft] = true
-		if r.Recorder.Journal() != nil {
-			r.traceCtx(name, i, 0, 0).Emit(obsv.EvPlan, "plan="+plan.String())
-		}
-		jobs = append(jobs, forkJob{idx: i, name: name, plan: plan, firstTime: ft})
-	}
-	psp.End()
-
-	refLogged := logged[c.Name+RefSuffix]
-	if len(jobs) == 0 && refLogged {
-		return sum, nil
-	}
-
-	// Candidate checkpoint cycles: the configured grid plus every distinct
-	// first-injection time, so most experiments restore at exactly their
-	// injection point and re-execute zero prefix cycles.
-	every := c.CheckpointEvery
-	if every == 0 {
-		every = max(1, c.InjectMaxTime/16)
-	}
-	for t := every; t <= c.InjectMaxTime; t += every {
-		harvest[t] = true
-	}
-	candidates := make([]uint64, 0, len(harvest))
-	for t := range harvest {
-		candidates = append(candidates, t)
-	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
-	budget := c.CheckpointMem
-	if budget == 0 {
-		budget = defaultCheckpointMem
-	}
-
-	// Golden reference run doubling as the checkpoint harvest, under the
-	// standard retry/watchdog machinery. It runs even when the reference row
-	// is already logged — a resumed campaign needs the checkpoints back.
-	cs, _ := target.AsCheckpointStore(r.ops) // presence validated by Campaign.Validate
-	gops := r.ops
-	var saved []uint64
-	gsp := r.Recorder.BeginGroup("reference", 0)
-	out := r.runExperiment(gops, r.goldenRun(cs, candidates, budget, &saved), faultmodel.Plan{}, refIndex, 0)
-	// A hang abandons the target under the golden run. The plain engine must
-	// abort here — its reference ran on the only target it has — but with a
-	// factory the forked engine applies the workers' quarantine policy to
-	// the coordinator too: re-mint and rerun, spending the retry budget. The
-	// golden run touches every harvest candidate, so under hang chaos it
-	// wedges far more often than a plain reference; without this it would
-	// abort campaigns the plain engine survives. The abandoned goroutine
-	// still owns the old target and its checkpoint store, so both are
-	// replaced wholesale, never reused.
-	for hangs := 0; out.hung && r.Factory != nil && hangs < c.RetryLimit; hangs++ {
-		if gops == r.ops {
-			*opsPoisoned = true
-		}
-		sum.Hangs++
-		sum.Retries += out.retries
-		sum.Quarantined++
-		r.Recorder.Count("experiments.quarantined", 1)
-		r.logger().Warn("reference run hung; quarantining target and re-minting",
-			"campaign", c.Name, "watchdog", c.ExperimentTimeout)
-		nops, err := r.mintReplacement()
-		if err != nil {
-			break
-		}
-		ncs, ok := target.AsCheckpointStore(nops)
-		if !ok {
-			break
-		}
-		gops, cs = nops, ncs
-		// Seeded chaos wrappers replay per (seed, index, attempt): rerunning
-		// under refIndex would wedge at exactly the same op forever, so each
-		// rerun draws from its own index below refIndex — a seeding domain no
-		// real experiment uses. The logged reference row is index-independent.
-		out = r.runExperiment(gops, r.goldenRun(cs, candidates, budget, &saved), faultmodel.Plan{}, refIndex-1-hangs, 0)
-	}
-	gsp.End()
-	sum.Retries += out.retries
-	switch {
-	case out.err != nil:
-		return sum, fmt.Errorf("core: reference run: %w", out.err)
-	case out.hung:
-		if gops == r.ops {
-			*opsPoisoned = true
-		}
-		return sum, fmt.Errorf("core: reference run hung (watchdog %v); campaign cannot proceed without a reference", c.ExperimentTimeout)
-	case out.failed:
-		return sum, fmt.Errorf("core: reference run failed after %d attempts: %w", c.RetryLimit+1, out.cause)
-	}
-	if !refLogged {
-		if err := r.logExperiment(c.Name+RefSuffix, "", out.exp); err != nil {
-			return sum, err
-		}
-	}
-	r.report(r.progress(&sum, sum.Skipped, c.NExperiments, "reference "+out.exp.Term.Reason.String()))
-	if len(jobs) == 0 {
-		return sum, nil
-	}
-
-	// Export the harvest into the shared source (exports are immutable and
-	// alias the golden image, so this is O(checkpoints), not O(memory)), then
-	// clear the coordinator target's store — workers re-import on demand.
-	src := &forkSource{snaps: make(map[uint64]any, len(saved))}
-	for _, t := range saved {
-		if snap, ok := cs.ExportCheckpoint(t); ok {
+// export moves the harvest into a source shared by every executor. Exports
+// are immutable and alias the golden image, so this is O(checkpoints), not
+// O(memory). The golden target's store is then cleared: executors import on
+// demand.
+func (h *harvest) export(r *Runner) *forkSource {
+	src := &forkSource{snaps: make(map[uint64]any, len(h.saved)), budget: h.budget}
+	for _, t := range h.saved {
+		if snap, ok := h.cs.ExportCheckpoint(t); ok {
 			src.cycles = append(src.cycles, t)
 			src.snaps[t] = snap
 		}
 	}
-	cs.DropCheckpoints()
+	h.cs.DropCheckpoints()
 	r.Recorder.SetGauge("fork.checkpoints.harvested", int64(len(src.cycles)))
-
-	workers := max(c.Workers, 1)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	targets := make([]target.Operations, workers)
-	if c.Workers > 1 {
-		if r.Factory == nil {
-			return sum, fmt.Errorf("core: campaign %s: parallel execution (Workers=%d) needs a Runner.Factory",
-				c.Name, c.Workers)
-		}
-		for i := range targets {
-			ops, err := r.Factory.New()
-			if err != nil {
-				return sum, fmt.Errorf("core: campaign %s: worker %d: %w", c.Name, i, err)
-			}
-			targets[i] = ops
-		}
-	} else {
-		// Sequential forking executes on the runner's own target, like the
-		// plain sequential loop — or on the golden run's re-minted
-		// replacement when a hang retired the original.
-		targets[0] = gops
-	}
-	wk := make([]*forkWorker, workers)
-	for i, ops := range targets {
-		w := &forkWorker{r: r, tech: tech, src: src, budget: budget}
-		if err := w.bind(ops); err != nil {
-			return sum, fmt.Errorf("core: campaign %s: worker %d: %w", c.Name, i, err)
-		}
-		wk[i] = w
-	}
-
-	// Round-robin jobs across workers by plan position (deterministic), then
-	// order each worker's slice by first injection time so restores walk
-	// forward through the checkpoint grid and the LRU pool stays warm.
-	slices := make([][]forkJob, workers)
-	for k, j := range jobs {
-		slices[k%workers] = append(slices[k%workers], j)
-	}
-	for _, sl := range slices {
-		sort.Slice(sl, func(a, b int) bool {
-			if sl[a].firstTime != sl[b].firstTime {
-				return sl[a].firstTime < sl[b].firstTime
-			}
-			return sl[a].idx < sl[b].idx
-		})
-	}
-
-	resCh := make(chan parallelResult, workers)
-	var halted atomic.Bool
-	var retiredOps atomic.Bool // the worker running on r.ops abandoned it to a hang
-	var wg sync.WaitGroup
-	for i := range wk {
-		wg.Add(1)
-		go func(w *forkWorker, slice []forkJob, tid int32) {
-			defer wg.Done()
-			tagWorker(w.ops, tid)
-			for _, j := range slice {
-				// Pause/Stop are honoured between experiments like every
-				// other engine; a coordinator halt ends dispatch early.
-				if halted.Load() || r.checkpoint() != nil {
-					return
-				}
-				res := parallelResult{idx: j.idx, name: j.name}
-				gsp := r.Recorder.BeginGroup(j.name, tid)
-				res.out = r.runExperiment(w.ops, w.run, j.plan, j.idx, tid)
-				gsp.End()
-				if res.out.hung || res.out.failed {
-					res.quarantined = true
-					if r.Recorder.Journal() != nil {
-						r.traceCtx(j.name, j.idx, 0, tid).Emit(obsv.EvQuarantine, "fork worker target retired; checkpoint pool invalidated")
-					}
-					if res.out.hung && w.ops == r.ops {
-						retiredOps.Store(true)
-					}
-					var nops target.Operations
-					var err error
-					if r.Factory == nil {
-						err = fmt.Errorf("core: no Runner.Factory to replace the quarantined target")
-					} else {
-						nops, err = r.mintReplacement()
-					}
-					// Quarantine invalidates the instance's checkpoint pool: the
-					// replacement gets a whole new worker with an empty pool, so
-					// nothing cached on the poisoned target survives. A fresh
-					// struct, not a rebind — a hung attempt's goroutine still
-					// owns the old worker and may be reading its pool.
-					if err == nil {
-						nw := &forkWorker{r: r, tech: tech, src: src, budget: budget}
-						if err = nw.bind(nops); err == nil {
-							w = nw
-						}
-					}
-					if err != nil {
-						res.workerLost = true
-						resCh <- res
-						return
-					}
-					tagWorker(w.ops, tid)
-				}
-				resCh <- res
-			}
-			w.ops.SetDetailMode(false)
-		}(wk[i], slices[i], int32(i+1))
-	}
-	go func() {
-		wg.Wait()
-		close(resCh)
-	}()
-
-	// Logging stage: results arrive in completion order but are released to
-	// the store in plan order through a reorder buffer, so the logged row
-	// sequence matches a sequential, non-forking run.
-	var (
-		pending     []dbase.ExperimentRow
-		buffered    = make(map[int]dbase.ExperimentRow)
-		firstErr    error
-		condStop    bool
-		workersLost int
-	)
-	frontier := 0 // next position in jobs (ascending plan order) to release
-	done := sum.Skipped
-	received := 0
-	flush := func() {
-		if len(pending) == 0 {
-			return
-		}
-		fsp := r.Recorder.Begin(obsv.PhaseFlush, 0)
-		defer fsp.End()
-		var err error
-		for attempt := 0; ; attempt++ {
-			if err = r.store.PutExperiments(pending); err == nil {
-				pending = pending[:0]
-				return
-			}
-			if attempt >= flushRetryLimit || !storeErrTransient(err) {
-				break
-			}
-			time.Sleep(flushRetryBackoff << attempt)
-		}
-		if firstErr == nil {
-			firstErr = err
-			halted.Store(true)
-		}
-	}
-	release := func() {
-		for frontier < len(jobs) {
-			row, ok := buffered[jobs[frontier].idx]
-			if !ok {
-				return
-			}
-			delete(buffered, jobs[frontier].idx)
-			pending = append(pending, row)
-			frontier++
-			if len(pending) >= maxLogBatch {
-				flush()
-			}
-		}
-	}
-	handle := func(res parallelResult) {
-		received++
-		sum.Retries += res.out.retries
-		if res.quarantined {
-			sum.Quarantined++
-			r.Recorder.Count("experiments.quarantined", 1)
-			r.logger().Warn("fork worker target quarantined; checkpoint pool invalidated",
-				"campaign", c.Name, "experiment", res.name)
-		}
-		if res.workerLost {
-			workersLost++
-			r.logger().Warn("fork worker retired; pool degraded",
-				"campaign", c.Name, "workersLost", workersLost, "workers", workers)
-		}
-		if res.out.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("core: experiment %d: %w", res.idx, res.out.err)
-				halted.Store(true)
-			}
-			return
-		}
-		if firstErr != nil {
-			return
-		}
-		buffered[res.idx] = r.outcomeRow(res.name, "", res.out)
-		done++
-		label := r.accountOutcome(&sum, res.out)
-		r.report(r.progress(&sum, done, c.NExperiments, label))
-		if !condStop && r.StopCondition != nil && r.StopCondition(sum) {
-			condStop = true
-			halted.Store(true)
-		}
-		release()
-	}
-	for {
-		var res parallelResult
-		var ok bool
-		select {
-		case res, ok = <-resCh:
-		default:
-			flush()
-			res, ok = <-resCh
-		}
-		if !ok {
-			break
-		}
-		handle(res)
-	}
-	release()
-	// Rows completed past a stop/halt gap are flushed too (ascending plan
-	// order): the resume scan skips them, exactly like the completion-order
-	// parallel engine.
-	if len(buffered) > 0 && firstErr == nil {
-		rest := make([]int, 0, len(buffered))
-		for idx := range buffered {
-			rest = append(rest, idx)
-		}
-		sort.Ints(rest)
-		for _, idx := range rest {
-			pending = append(pending, buffered[idx])
-		}
-	}
-	flush()
-
-	if retiredOps.Load() {
-		*opsPoisoned = true
-	}
-	if firstErr != nil {
-		return sum, firstErr
-	}
-	if condStop {
-		return sum, nil
-	}
-	if received < len(jobs) {
-		r.report(r.progress(&sum, done, c.NExperiments, "stopped"))
-		if workersLost == workers {
-			return sum, fmt.Errorf("core: campaign %s: all %d fork workers lost their targets (%d quarantined); %d experiments not run",
-				c.Name, workers, sum.Quarantined, len(jobs)-received)
-		}
-		return sum, ErrStopped
-	}
-	return sum, nil
+	return src
 }

@@ -26,12 +26,12 @@ type RunMetricsStore interface {
 // that periodically snapshots campaign progress into CampaignEvent frames
 // (published through Runner.Events) and buffered CampaignRunMetrics rows.
 //
-// Threading: observe runs on the Run goroutine (it is fed from report);
-// the ticker goroutine only reads the latest Progress and appends rows to
-// the in-memory buffer under the mutex. No store call happens off the Run
-// goroutine — NextRunID runs at start and PutRunMetrics in finish, both on
-// the Run goroutine, because the underlying SQL engine is not verified
-// thread-safe.
+// Threading: observe is fed from report, one call at a time; the ticker
+// goroutine only reads the latest Progress and appends rows to the
+// in-memory buffer under the mutex. NextRunID runs at start and
+// PutRunMetrics in finish, both on the Run goroutine while the engine's
+// commit stage is not running, because the underlying SQL engine is not
+// verified thread-safe.
 type monitor struct {
 	r      *Runner
 	events *obsv.Broadcaster
@@ -71,7 +71,7 @@ func (r *Runner) startMonitor() (*monitor, error) {
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	m.last = Progress{Campaign: r.campaign.Name, Total: r.ownedTotal()}
+	m.last = Progress{Campaign: r.campaign.Name, Total: r.campaign.NExperiments}
 	if sink != nil {
 		id, err := sink.NextRunID(r.campaign.Name)
 		if err != nil {
@@ -103,8 +103,8 @@ func (m *monitor) loop(interval time.Duration) {
 	}
 }
 
-// observe records the latest progress tick. Runs on the Run goroutine; a nil
-// monitor (monitoring disabled) no-ops.
+// observe records the latest progress tick. A nil monitor (monitoring
+// disabled) no-ops.
 func (m *monitor) observe(p Progress) {
 	if m == nil {
 		return
@@ -206,7 +206,7 @@ func (m *monitor) finish(sum Summary) error {
 	m.observe(Progress{
 		Campaign:    m.r.campaign.Name,
 		Done:        sum.Completed + sum.Skipped,
-		Total:       m.r.ownedTotal(),
+		Total:       m.r.campaign.NExperiments,
 		Skipped:     sum.Skipped,
 		Detected:    detectedOf(sum),
 		Retries:     sum.Retries,

@@ -8,14 +8,12 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"goofi/internal/dbase"
 	"goofi/internal/faultmodel"
 	"goofi/internal/obsv"
 	"goofi/internal/target"
-	"goofi/internal/vfs"
 )
 
 // ErrStopped is returned by Run when the campaign was ended through Stop or
@@ -100,8 +98,7 @@ type Summary struct {
 	Retries int
 	// Hangs counts experiments the wall-clock watchdog gave up on.
 	Hangs int
-	// Quarantined counts target instances retired and replaced after a hang
-	// or an exhausted retry budget.
+	// Quarantined counts target instances retired after a hang.
 	Quarantined int
 }
 
@@ -114,7 +111,9 @@ type Runner struct {
 	campaign Campaign
 
 	// OnProgress, when set, is called after the reference run and after
-	// every experiment. It runs on the Run goroutine.
+	// every experiment. Calls come from the engine's goroutines, one at a
+	// time, under the engine's lock: a callback may Pause, Resume or Stop
+	// the runner, but must not wait for the campaign to make progress.
 	OnProgress func(Progress)
 
 	// PlanFunc, when set, replaces the fault model's default sampling. The
@@ -123,21 +122,22 @@ type Runner struct {
 	PlanFunc func(rng *rand.Rand, locs []faultmodel.Location, minTime, maxTime, horizon uint64) (faultmodel.Plan, error)
 
 	// StopCondition, when set, is evaluated after every experiment with the
-	// running summary; returning true ends the campaign early with a nil
-	// error (an adaptive alternative to a fixed NExperiments, e.g. "stop
-	// once enough detections accumulated for the target confidence").
+	// running summary, under the same lock as OnProgress; returning true
+	// ends the campaign early with a nil error (an adaptive alternative to a
+	// fixed NExperiments, e.g. "stop once enough detections accumulated for
+	// the target confidence").
 	StopCondition func(Summary) bool
 
 	// Factory, when set, supplies independent target instances for parallel
-	// execution (Campaign.Workers > 1): one target per worker, so
+	// execution (Campaign.Workers > 1): one target per executor, so
 	// experiments share no simulator state. The runner's own ops still
 	// performs validation and the reference run. The fault-tolerance layer
-	// also uses it to replace targets poisoned by a hang (sequential and
-	// parallel alike).
+	// also uses it to replace quarantined targets (sequential and parallel
+	// alike); without it, an executor whose target is quarantined retires.
 	Factory target.Factory
 
-	// Recorder, when set, collects engine-level observability: plan drawing,
-	// retry backoff and store-flush phases, per-experiment trace spans, and
+	// Recorder, when set, collects engine-level observability: plan drawing
+	// and retry backoff phases, per-experiment and store-flush trace spans, and
 	// the campaign counters/wall-clock. nil disables it at zero cost. Pair it
 	// with a target.Measured wrapper (same recorder) to cover the
 	// target-operation phases too.
@@ -154,22 +154,12 @@ type Runner struct {
 	// persisted interval metrics); zero means one second.
 	MonitorInterval time.Duration
 
-	// ShardIndex and ShardCount split one campaign across cooperating
-	// runners. With ShardCount > 1, every runner draws the complete seeded
-	// plan stream (so the PRNG stays bit-aligned with a single-process run)
-	// but executes only the experiments whose index i satisfies
-	// i % ShardCount == ShardIndex. Each shard still performs its own
-	// reference run — the reference is deterministic, so every shard derives
-	// the identical golden row and reassembly keeps exactly one. ShardCount
-	// <= 1 disables sharding. Incompatible with Campaign.Fork.
-	ShardIndex, ShardCount int
-
 	// Logger, when set, receives engine-level diagnostics (campaign start,
 	// quarantines, degraded worker pools) through log/slog. nil discards.
 	Logger *slog.Logger
 
-	// mon is the active run's live monitor; set and cleared by Run and only
-	// touched on the Run goroutine.
+	// mon is the active run's live monitor; set and cleared by Run, around
+	// the engine's goroutines.
 	mon *monitor
 
 	mu      sync.Mutex
@@ -208,42 +198,6 @@ func (r *Runner) Stop() {
 	defer r.mu.Unlock()
 	r.stopped = true
 	r.cond.Broadcast()
-}
-
-// owns reports whether this runner's shard executes experiment idx. With
-// sharding disabled every index is owned.
-func (r *Runner) owns(idx int) bool {
-	return r.ShardCount <= 1 || idx%r.ShardCount == r.ShardIndex
-}
-
-// ownedTotal is the number of experiments this shard executes — the progress
-// denominator, so a shard reports 100% when its own slice completes.
-func (r *Runner) ownedTotal() int {
-	n := r.campaign.NExperiments
-	if r.ShardCount <= 1 {
-		return n
-	}
-	t := n / r.ShardCount
-	if r.ShardIndex < n%r.ShardCount {
-		t++
-	}
-	return t
-}
-
-// validateShard rejects impossible shard configurations before any target
-// work happens.
-func (r *Runner) validateShard() error {
-	if r.ShardCount <= 1 {
-		return nil
-	}
-	if r.ShardIndex < 0 || r.ShardIndex >= r.ShardCount {
-		return fmt.Errorf("core: campaign %s: shard index %d out of range [0,%d)",
-			r.campaign.Name, r.ShardIndex, r.ShardCount)
-	}
-	if r.campaign.Fork {
-		return fmt.Errorf("core: campaign %s: sharded execution is incompatible with checkpoint forking", r.campaign.Name)
-	}
-	return nil
 }
 
 // checkpoint blocks while paused and reports whether the campaign must stop.
@@ -397,8 +351,8 @@ func (r *Runner) runExperiment(ops target.Operations, run Algorithm, plan faultm
 	}
 }
 
-// experimentName names experiment idx the way the logging stage does, so
-// trace events join against CampaignData rows by experiment name.
+// experimentName names experiment idx as its logged row does, so trace
+// events join against CampaignData rows by experiment name.
 func (r *Runner) experimentName(idx int) string {
 	if idx == refIndex {
 		return r.campaign.Name + RefSuffix
@@ -411,7 +365,6 @@ func (r *Runner) traceCtx(name string, idx, attempt int, tid int32) obsv.TraceCo
 	return obsv.TraceContext{
 		Rec:        r.Recorder,
 		Campaign:   r.campaign.Name,
-		Shard:      r.ShardIndex,
 		Experiment: name,
 		Index:      idx,
 		Attempt:    attempt,
@@ -429,23 +382,6 @@ func attemptDetail(exp Experiment, err error) string {
 	default:
 		return "outcome=err cause=" + err.Error()
 	}
-}
-
-// mintReplacement quarantines a retired target by minting a fresh instance
-// from the Factory and preparing it for campaign duty.
-func (r *Runner) mintReplacement() (target.Operations, error) {
-	ops, err := r.Factory.New()
-	if err != nil {
-		return nil, err
-	}
-	ops.SetDetailMode(r.campaign.DetailMode)
-	if cp, ok := ops.(target.Checkpointer); ok {
-		cp.ClearCheckpoint()
-	}
-	if cs, ok := target.AsCheckpointStore(ops); ok {
-		cs.DropCheckpoints()
-	}
-	return ops, nil
 }
 
 // Run executes the campaign: it stores the campaign definition, performs the
@@ -471,9 +407,10 @@ func (r *Runner) Run(ctx context.Context) (Summary, error) {
 		ssp.End()
 		return Summary{}, err
 	}
-	if err := r.validateShard(); err != nil {
+	if c.Workers > 1 && r.Factory == nil {
 		ssp.End()
-		return Summary{}, err
+		return Summary{}, fmt.Errorf("core: campaign %s: parallel execution (Workers=%d) needs a Runner.Factory",
+			c.Name, c.Workers)
 	}
 	tech, err := techniqueFor(c.Technique)
 	if err != nil {
@@ -511,174 +448,6 @@ func (r *Runner) Run(ctx context.Context) (Summary, error) {
 		err = ferr
 	}
 	return sum, err
-}
-
-// execute runs the validated campaign: reference run, then the sequential or
-// parallel experiment loop. Split from Run so monitoring setup/teardown
-// brackets the whole execution on the Run goroutine.
-func (r *Runner) execute(ctx context.Context, tech technique, locs []faultmodel.Location) (Summary, error) {
-	c := r.campaign
-
-	// Propagate context cancellation into the pause/stop machinery.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			r.Stop()
-		case <-watchDone:
-		}
-	}()
-
-	sum := Summary{
-		Campaign:     c.Name,
-		Terminations: map[string]int{},
-		Detections:   map[string]int{},
-	}
-
-	r.ops.SetDetailMode(c.DetailMode)
-	// A hang poisons the target it ran on; if that was r.ops itself, even
-	// the detail-mode reset must not touch it again.
-	opsPoisoned := false
-	defer func() {
-		if !opsPoisoned {
-			r.ops.SetDetailMode(false)
-		}
-	}()
-
-	// A stale snapshot from an earlier campaign must never leak in.
-	if cp, ok := r.ops.(target.Checkpointer); ok {
-		cp.ClearCheckpoint()
-	}
-	if cs, ok := target.AsCheckpointStore(r.ops); ok {
-		cs.DropCheckpoints()
-	}
-
-	// One prefix-scan of the campaign's logged experiments answers every
-	// resume question below: a store failure is propagated rather than
-	// treated as "nothing logged", which would re-run completed work.
-	rsp := r.Recorder.Begin(obsv.PhaseInit, 0)
-	logged, err := r.store.ExperimentNames(c.Name)
-	rsp.End()
-	if err != nil {
-		return Summary{}, err
-	}
-
-	// Checkpoint forking runs its own golden reference (which doubles as the
-	// checkpoint harvest) and its own dispatch loop.
-	if c.Fork {
-		return r.runForked(tech, locs, logged, sum, &opsPoisoned)
-	}
-
-	// Reference run: the same algorithm with an empty plan (Fig. 2,
-	// makeReferenceRun), logged under <campaign>/ref. A stopped campaign
-	// that is re-run resumes instead of redoing completed work (the
-	// "restart" control of Fig. 7): the logged reference is reused. The
-	// reference enjoys the same retry protection as experiments, but a hang
-	// or exhausted budget aborts — the campaign is meaningless without it.
-	if !logged[c.Name+RefSuffix] {
-		gsp := r.Recorder.BeginGroup("reference", 0)
-		out := r.runExperiment(r.ops, tech.run, faultmodel.Plan{}, refIndex, 0)
-		gsp.End()
-		sum.Retries += out.retries
-		switch {
-		case out.err != nil:
-			return sum, fmt.Errorf("core: reference run: %w", out.err)
-		case out.hung:
-			opsPoisoned = true
-			return sum, fmt.Errorf("core: reference run hung (watchdog %v); campaign cannot proceed without a reference", c.ExperimentTimeout)
-		case out.failed:
-			return sum, fmt.Errorf("core: reference run failed after %d attempts: %w", c.RetryLimit+1, out.cause)
-		}
-		if err := r.logExperiment(c.Name+RefSuffix, "", out.exp); err != nil {
-			return sum, err
-		}
-		r.report(r.progress(&sum, 0, r.ownedTotal(), "reference "+out.exp.Term.Reason.String()))
-	}
-
-	if c.Workers > 1 {
-		return r.runParallel(tech, locs, logged, sum)
-	}
-
-	ops := r.ops
-	total := r.ownedTotal()
-	journal := r.Recorder.Journal()
-	rng := rand.New(rand.NewSource(c.Seed))
-	for i := 0; i < c.NExperiments; i++ {
-		if err := r.checkpoint(); err != nil {
-			// Final tick on Stop/ctx-cancel: the progress consumer must see
-			// the true completed count, not the last pre-stop snapshot.
-			r.report(r.progress(&sum, sum.Completed+sum.Skipped, total, "stopped"))
-			return sum, err
-		}
-		planFn := c.Model.Plan
-		if r.PlanFunc != nil {
-			planFn = r.PlanFunc
-		}
-		// The plan is drawn even for experiments that are skipped on
-		// resume — and for indices owned by other shards — keeping the PRNG
-		// stream aligned so a resumed or sharded campaign is bit-identical
-		// to an uninterrupted single-process one.
-		psp := r.Recorder.Begin(obsv.PhasePlan, 0)
-		plan, err := planFn(rng, locs, c.InjectMinTime, c.InjectMaxTime, c.Workload.MaxCycles)
-		psp.End()
-		if err != nil {
-			return sum, fmt.Errorf("core: experiment %d: %w", i, err)
-		}
-		if !r.owns(i) {
-			continue
-		}
-		name := fmt.Sprintf("%s/e%04d", c.Name, i)
-		if logged[name] {
-			sum.Skipped++
-			r.Recorder.Count("experiments.skipped", 1)
-			continue
-		}
-		if journal != nil {
-			r.traceCtx(name, i, 0, 0).Emit(obsv.EvPlan, "plan="+plan.String())
-		}
-		gsp := r.Recorder.BeginGroup(name, 0)
-		out := r.runExperiment(ops, tech.run, plan, i, 0)
-		gsp.End()
-		sum.Retries += out.retries
-		if out.err != nil {
-			return sum, fmt.Errorf("core: experiment %d: %w", i, out.err)
-		}
-		fsp := r.Recorder.Begin(obsv.PhaseFlush, 0)
-		err = r.putExperiment(r.outcomeRow(name, "", out))
-		fsp.End()
-		if err != nil {
-			return sum, err
-		}
-		label := r.accountOutcome(&sum, out)
-		r.report(r.progress(&sum, sum.Completed+sum.Skipped, total, label))
-		if out.hung {
-			// The hung attempt's goroutine may still be running on ops:
-			// quarantine the instance and continue on a replacement.
-			if ops == r.ops {
-				opsPoisoned = true
-			}
-			if r.Factory == nil {
-				return sum, fmt.Errorf("core: experiment %d hung (watchdog %v) and no Runner.Factory is set to replace the abandoned target",
-					i, c.ExperimentTimeout)
-			}
-			nops, err := r.mintReplacement()
-			if err != nil {
-				return sum, fmt.Errorf("core: experiment %d: replace hung target: %w", i, err)
-			}
-			r.logger().Warn("experiment hung; target quarantined",
-				"campaign", c.Name, "experiment", name, "watchdog", c.ExperimentTimeout)
-			if journal != nil {
-				r.traceCtx(name, i, 0, 0).Emit(obsv.EvQuarantine, "hung target replaced")
-			}
-			ops = nops
-			sum.Quarantined++
-		}
-		if r.StopCondition != nil && r.StopCondition(sum) {
-			return sum, nil
-		}
-	}
-	return sum, nil
 }
 
 // accountOutcome folds one concluded experiment into the running summary and
@@ -727,330 +496,6 @@ func outcomeOf(exp Experiment) string {
 		outcome += " (" + exp.Term.Mechanism + ")"
 	}
 	return outcome
-}
-
-// parallelJob is one pre-planned experiment awaiting a worker.
-type parallelJob struct {
-	idx  int
-	name string
-	plan faultmodel.Plan
-}
-
-// parallelResult is one concluded experiment on its way to the logging stage.
-type parallelResult struct {
-	idx  int
-	name string
-	out  runOutcome
-	// quarantined marks that the worker retired its target after this job.
-	quarantined bool
-	// workerLost marks that no replacement could be minted and the worker
-	// retired itself, degrading the pool.
-	workerLost bool
-}
-
-// maxLogBatch caps how many experiment rows accumulate before the logging
-// stage flushes them in one batched insert.
-const maxLogBatch = 32
-
-// flushRetryLimit and flushRetryBackoff bound the logging stage's retries of
-// a transiently failing store before the campaign aborts.
-const (
-	flushRetryLimit   = 3
-	flushRetryBackoff = 5 * time.Millisecond
-)
-
-// storeErrTransient reports whether a store failure is worth retrying: a
-// transient target-side fault (target.IsTransient — the taxonomy the retry
-// machinery already speaks) or a transient injected storage fault
-// (vfs.IsTransient — vfs.Faulty under -storage-chaos). Both ride the same
-// bounded retry budget, so a campaign on a flaky disk completes exactly like
-// one on a healthy disk.
-func storeErrTransient(err error) bool {
-	return target.IsTransient(err) || vfs.IsTransient(err)
-}
-
-// putExperiment logs one row, absorbing transient store faults with the same
-// bounded backoff as the parallel flush stage — the sequential path (the CLI
-// default, Workers=1) must not abort a campaign on one transient disk fault.
-func (r *Runner) putExperiment(row dbase.ExperimentRow) error {
-	var err error
-	for attempt := 0; ; attempt++ {
-		if err = r.store.PutExperiment(row); err == nil {
-			return nil
-		}
-		if attempt >= flushRetryLimit || !storeErrTransient(err) {
-			return err
-		}
-		time.Sleep(flushRetryBackoff << attempt)
-	}
-}
-
-// runParallel is the worker-pool campaign engine. Every injection plan is
-// pre-drawn here, on the coordinating goroutine, from the single seeded PRNG
-// in experiment order — the PRNG stream, and therefore every experiment, is
-// bit-identical to a sequential run. Experiments then fan out to
-// Campaign.Workers workers, each owning a factory-minted target instance,
-// and results funnel back through a logging stage that batches rows into
-// CampaignStore.PutExperiments. Resume semantics (completed experiments are
-// skipped before dispatch), Pause/Stop (honoured between dispatches;
-// in-flight experiments drain and are logged) and StopCondition are
-// preserved. Progress is reported in completion order, which is the only
-// observable difference from a sequential run.
-//
-// Fault tolerance: each worker runs experiments through the retry/watchdog
-// machinery of runExperiment. A worker whose target hung or glitched through
-// the whole retry budget quarantines the instance and continues on a freshly
-// minted replacement; if the Factory cannot deliver one, the worker retires
-// and the pool degrades to fewer workers instead of halting the campaign.
-func (r *Runner) runParallel(tech technique, locs []faultmodel.Location, logged map[string]bool, sum Summary) (Summary, error) {
-	c := r.campaign
-	if r.Factory == nil {
-		return sum, fmt.Errorf("core: campaign %s: parallel execution (Workers=%d) needs a Runner.Factory",
-			c.Name, c.Workers)
-	}
-	planFn := c.Model.Plan
-	if r.PlanFunc != nil {
-		planFn = r.PlanFunc
-	}
-	rng := rand.New(rand.NewSource(c.Seed))
-	total := r.ownedTotal()
-	journal := r.Recorder.Journal()
-	psp := r.Recorder.Begin(obsv.PhasePlan, 0)
-	jobs := make([]parallelJob, 0, c.NExperiments)
-	for i := 0; i < c.NExperiments; i++ {
-		// Drawn even for experiments skipped on resume (and for indices
-		// owned by other shards), exactly like the sequential loop: the
-		// stream stays aligned.
-		plan, err := planFn(rng, locs, c.InjectMinTime, c.InjectMaxTime, c.Workload.MaxCycles)
-		if err != nil {
-			psp.End()
-			return sum, fmt.Errorf("core: experiment %d: %w", i, err)
-		}
-		if !r.owns(i) {
-			continue
-		}
-		name := fmt.Sprintf("%s/e%04d", c.Name, i)
-		if logged[name] {
-			sum.Skipped++
-			r.Recorder.Count("experiments.skipped", 1)
-			continue
-		}
-		if journal != nil {
-			r.traceCtx(name, i, 0, 0).Emit(obsv.EvPlan, "plan="+plan.String())
-		}
-		jobs = append(jobs, parallelJob{idx: i, name: name, plan: plan})
-	}
-	psp.End()
-
-	workers := c.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers == 0 {
-		return sum, nil
-	}
-	// Mint every worker's target up front so a factory failure aborts
-	// before any experiment runs.
-	targets := make([]target.Operations, workers)
-	for i := range targets {
-		ops, err := r.Factory.New()
-		if err != nil {
-			return sum, fmt.Errorf("core: campaign %s: worker %d: %w", c.Name, i, err)
-		}
-		targets[i] = ops
-	}
-
-	jobCh := make(chan parallelJob)
-	resCh := make(chan parallelResult, workers)
-	haltDispatch := make(chan struct{})
-	var haltOnce sync.Once
-	halt := func() { haltOnce.Do(func() { close(haltDispatch) }) }
-
-	var liveWorkers atomic.Int32
-	liveWorkers.Store(int32(workers))
-	setup := func(ops target.Operations) {
-		ops.SetDetailMode(c.DetailMode)
-		if cp, ok := ops.(target.Checkpointer); ok {
-			cp.ClearCheckpoint()
-		}
-		if cs, ok := target.AsCheckpointStore(ops); ok {
-			cs.DropCheckpoints()
-		}
-	}
-	var wg sync.WaitGroup
-	for w, ops := range targets {
-		wg.Add(1)
-		// Worker w records under virtual thread w+1; tid 0 belongs to the
-		// coordinator (planning, logging, the reference run).
-		go func(ops target.Operations, tid int32) {
-			defer wg.Done()
-			// When the last worker retires, dispatch must halt too or the
-			// dispatcher would block forever on an unclaimed jobCh send.
-			defer func() {
-				if liveWorkers.Add(-1) == 0 {
-					halt()
-				}
-			}()
-			setup(ops)
-			tagWorker(ops, tid)
-			for j := range jobCh {
-				res := parallelResult{idx: j.idx, name: j.name}
-				gsp := r.Recorder.BeginGroup(j.name, tid)
-				res.out = r.runExperiment(ops, tech.run, j.plan, j.idx, tid)
-				gsp.End()
-				if res.out.hung || res.out.failed {
-					// Quarantine: the target wedged (and is still owned by
-					// the abandoned attempt goroutine) or glitched through
-					// the whole retry budget. Retire it and continue on a
-					// fresh instance; without one, degrade the pool.
-					res.quarantined = true
-					if journal != nil {
-						r.traceCtx(j.name, j.idx, 0, tid).Emit(obsv.EvQuarantine, "target retired after hang/exhausted retries")
-					}
-					nops, err := r.mintReplacement()
-					if err != nil {
-						res.workerLost = true
-						resCh <- res
-						return
-					}
-					ops = nops
-					tagWorker(ops, tid)
-				}
-				resCh <- res
-			}
-			ops.SetDetailMode(false)
-		}(ops, int32(w+1))
-	}
-	go func() {
-		wg.Wait()
-		close(resCh)
-	}()
-
-	// The dispatcher honours Pause and Stop between experiments exactly
-	// like the sequential loop: checkpoint blocks while paused and aborts
-	// dispatch on Stop; in-flight experiments then drain into the log.
-	go func() {
-		defer close(jobCh)
-		for _, j := range jobs {
-			if r.checkpoint() != nil {
-				return
-			}
-			select {
-			case jobCh <- j:
-			case <-haltDispatch:
-				return
-			}
-		}
-	}()
-
-	// Logging stage: results are folded into the summary as they arrive and
-	// buffered into batched inserts; the batch flushes when full or when the
-	// result stream runs momentarily dry, so logging latency stays bounded.
-	var (
-		pending     []dbase.ExperimentRow
-		firstErr    error
-		condStop    bool
-		workersLost int
-	)
-	done := sum.Skipped
-	received := 0
-	flush := func() {
-		if len(pending) == 0 {
-			return
-		}
-		fsp := r.Recorder.Begin(obsv.PhaseFlush, 0)
-		defer fsp.End()
-		var err error
-		for attempt := 0; ; attempt++ {
-			if err = r.store.PutExperiments(pending); err == nil {
-				pending = pending[:0]
-				return
-			}
-			if attempt >= flushRetryLimit || !storeErrTransient(err) {
-				break
-			}
-			time.Sleep(flushRetryBackoff << attempt)
-		}
-		// pending is kept intact: the rows stay eligible for the next flush
-		// (the store may have recovered by then); if the campaign aborts
-		// instead, the resume scan simply re-runs them.
-		if firstErr == nil {
-			firstErr = err
-			halt()
-		}
-	}
-	handle := func(res parallelResult) {
-		received++
-		sum.Retries += res.out.retries
-		if res.quarantined {
-			sum.Quarantined++
-			r.Recorder.Count("experiments.quarantined", 1)
-			r.logger().Warn("worker target quarantined",
-				"campaign", c.Name, "experiment", res.name)
-		}
-		if res.workerLost {
-			workersLost++
-			r.logger().Warn("worker retired; pool degraded",
-				"campaign", c.Name, "workersLost", workersLost, "workers", workers)
-		}
-		if res.out.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("core: experiment %d: %w", res.idx, res.out.err)
-				halt()
-			}
-			return
-		}
-		if firstErr != nil {
-			return
-		}
-		pending = append(pending, r.outcomeRow(res.name, "", res.out))
-		done++
-		label := r.accountOutcome(&sum, res.out)
-		r.report(r.progress(&sum, done, total, label))
-		if !condStop && r.StopCondition != nil && r.StopCondition(sum) {
-			condStop = true
-			halt()
-		}
-	}
-	for {
-		var res parallelResult
-		var ok bool
-		select {
-		case res, ok = <-resCh:
-		default:
-			flush()
-			res, ok = <-resCh
-		}
-		if !ok {
-			break
-		}
-		handle(res)
-		if len(pending) >= maxLogBatch {
-			flush()
-		}
-	}
-	flush()
-
-	if firstErr != nil {
-		return sum, firstErr
-	}
-	if condStop {
-		return sum, nil
-	}
-	if received < len(jobs) {
-		// Final tick: after an interrupted campaign the progress consumer
-		// must be left with the true completed count, not the last
-		// completion-order snapshot.
-		r.report(r.progress(&sum, done, total, "stopped"))
-		if workersLost == workers {
-			return sum, fmt.Errorf("core: campaign %s: all %d workers lost their targets (%d quarantined); %d experiments not run",
-				c.Name, workers, sum.Quarantined, len(jobs)-received)
-		}
-		// Dispatch was cut short by Stop (or context cancellation, which
-		// maps to Stop): same contract as the sequential loop.
-		return sum, ErrStopped
-	}
-	return sum, nil
 }
 
 // tagWorker assigns the worker's virtual thread id to instrumented targets
@@ -1112,10 +557,6 @@ func (r *Runner) outcomeRow(name, parent string, out runOutcome) dbase.Experimen
 	return row
 }
 
-func (r *Runner) logExperiment(name, parent string, exp Experiment) error {
-	return r.putExperiment(r.experimentRow(name, parent, exp))
-}
-
 // RerunDetail repeats a logged experiment in detail mode, logging the trace
 // under "<experiment>/detail" with parentExperiment set — the exact E1/E2
 // scenario the paper uses to motivate the parentExperiment column (§2.3).
@@ -1144,7 +585,7 @@ func (r *Runner) RerunDetail(experimentName string) (string, error) {
 		return "", fmt.Errorf("core: detail rerun of %s: %w", experimentName, err)
 	}
 	name := experimentName + DetailSuffix
-	if err := r.logExperiment(name, experimentName, exp); err != nil {
+	if err := r.putRows([]dbase.ExperimentRow{r.experimentRow(name, experimentName, exp)}); err != nil {
 		return "", err
 	}
 	return name, nil

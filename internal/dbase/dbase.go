@@ -589,7 +589,7 @@ const maxInsertRows = 256
 
 // PutExperiments logs a batch of experiments through multi-row INSERTs of at
 // most maxInsertRows rows each, amortising statement parsing and per-row
-// constraint checks — the logging stage of parallel campaign execution
+// constraint checks — the campaign engine's commit stage
 // funnels worker results through this.
 func (s *Store) PutExperiments(rows []ExperimentRow) error {
 	if len(rows) == 0 {

@@ -84,7 +84,9 @@ type WideEvent struct {
 	Kind string `json:"kind"`
 	// Campaign names the campaign the event belongs to.
 	Campaign string `json:"campaign,omitempty"`
-	// Shard is the in-process shard the emitting runner executed.
+	// Shard is the in-process shard that emitted the event. Only journals
+	// recorded before sharding was folded into the worker pool carry one;
+	// new events leave it 0.
 	Shard int `json:"shard,omitempty"`
 	// Experiment is the experiment name when the emitter knows it; storage
 	// and WAL events leave it empty and are attributed at render time by
@@ -185,7 +187,7 @@ func (j *Journal) Dropped() int64 {
 }
 
 // TraceContext identifies the experiment attempt in flight: campaign run →
-// shard → experiment → attempt. It travels from the Runner into the target
+// experiment → attempt. It travels from the Runner into the target
 // wrappers (via target.ApplyTraceContext) so layers that inject or observe
 // faults can attribute their events to the attempt they hit. The zero value
 // is the disabled state.
@@ -193,7 +195,6 @@ type TraceContext struct {
 	// Rec carries the recorder whose journal receives the events.
 	Rec        *Recorder
 	Campaign   string
-	Shard      int
 	Experiment string
 	Index      int
 	Attempt    int
@@ -227,7 +228,6 @@ func (tc TraceContext) emit(kind, detail string, timeNs, durNs int64) {
 		DurNs:      durNs,
 		Kind:       kind,
 		Campaign:   tc.Campaign,
-		Shard:      tc.Shard,
 		Experiment: tc.Experiment,
 		Index:      tc.Index,
 		Attempt:    tc.Attempt,

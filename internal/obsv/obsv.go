@@ -54,7 +54,9 @@ const (
 	PhaseCheckpointRestore
 	// PhaseRetry is backoff sleep between experiment retry attempts.
 	PhaseRetry
-	// PhaseFlush is persisting experiment rows to the campaign store.
+	// PhaseFlush is the campaign waiting on its store: the final drain of
+	// the commit stage. The commit stage itself runs beside the executors
+	// and records its flushes as "store-flush" trace spans.
 	PhaseFlush
 	// PhaseWALAppend is the write-ahead log's group-commit work: writing
 	// coalesced record batches and fsyncing them. It runs on the WAL's own

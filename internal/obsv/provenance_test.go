@@ -64,7 +64,7 @@ func TestRecorderJournalOption(t *testing.T) {
 // inert.
 func TestTraceContext(t *testing.T) {
 	rec := New(Options{Journal: true})
-	tc := TraceContext{Rec: rec, Campaign: "c1", Shard: 2, Experiment: "c1/e0001",
+	tc := TraceContext{Rec: rec, Campaign: "c1", Experiment: "c1/e0001",
 		Index: 1, Attempt: 3, TID: 4}
 	if !tc.Enabled() {
 		t.Fatal("context with journaling recorder not enabled")
@@ -78,7 +78,7 @@ func TestTraceContext(t *testing.T) {
 		t.Fatalf("journal has %d events, want 2", len(events))
 	}
 	ev := events[0]
-	if ev.Kind != EvInject || ev.Campaign != "c1" || ev.Shard != 2 ||
+	if ev.Kind != EvInject || ev.Campaign != "c1" || ev.Shard != 0 ||
 		ev.Experiment != "c1/e0001" || ev.Index != 1 || ev.Attempt != 3 || ev.TID != 4 {
 		t.Fatalf("emitted event lost context: %+v", ev)
 	}

@@ -61,8 +61,7 @@ type Options struct {
 	// ones; submissions beyond it get 429 + Retry-After. 0 means 8.
 	QueueLimit int
 	// Concurrency is how many campaigns execute at once — campaigns, not
-	// workers: each campaign may additionally shard and parallelise
-	// internally. 0 means 2.
+	// workers: each campaign may run several workers of its own. 0 means 2.
 	Concurrency int
 	// WALOptions is the group-commit durability policy of every tenant
 	// store. The zero value syncs every batch (SyncEvery <= 1).
@@ -90,7 +89,6 @@ type job struct {
 
 	events *obsv.Broadcaster
 	rec    *obsv.Recorder
-	seq    int64 // event sequence for service-published (sharded) frames
 }
 
 // Server is the multi-tenant campaign daemon. Create with New, expose over
@@ -209,7 +207,7 @@ func (s *Server) Submit(spec Spec) (Status, error) {
 	s.mu.Unlock()
 
 	s.log.Info("campaign submitted", "id", id,
-		"experiments", spec.Experiments, "shards", spec.Shards, "workers", spec.Workers)
+		"experiments", spec.Experiments, "workers", spec.Workers)
 	s.nudge()
 	return st, nil
 }
@@ -312,7 +310,6 @@ func (s *Server) statusLocked(j *job) Status {
 		Campaign: j.spec.Campaign,
 		Status:   j.status,
 		Error:    j.errMsg,
-		Shards:   j.spec.Shards,
 		Workers:  j.spec.Workers,
 		Total:    j.spec.Experiments,
 	}
@@ -357,7 +354,6 @@ type Status struct {
 	Retries       int `json:"retries"`
 	Hangs         int `json:"hangs"`
 	Quarantined   int `json:"quarantined"`
-	Shards        int `json:"shards,omitempty"`
 	Workers       int `json:"workers,omitempty"`
 }
 
@@ -500,8 +496,9 @@ func ensureTarget(store *dbase.Store, ops target.Operations) error {
 }
 
 // runCampaign executes one campaign against its tenant store: open, register,
-// run (sharded or not), save, close. The store is only ever touched from this
-// goroutine — the SQL engine is not verified thread-safe.
+// run, save, close. The store is touched by one goroutine at a time — this
+// one, and while Run executes the runner's commit stage — because the SQL
+// engine is not verified thread-safe.
 func (s *Server) runCampaign(ctx context.Context, j *job) (core.Summary, error) {
 	store, err := s.openTenantStore(j.spec)
 	if err != nil {
@@ -518,22 +515,15 @@ func (s *Server) runCampaign(ctx context.Context, j *job) (core.Summary, error) 
 	}
 	store.SetRecorder(j.rec)
 
-	var sum core.Summary
-	if j.spec.Shards > 1 {
-		sum, err = s.runSharded(ctx, j, store)
-	} else {
-		r := core.NewRunner(ops, store, j.c)
-		r.Factory = factory
-		r.Recorder = j.rec
-		r.Events = j.events
-		r.MonitorInterval = s.opts.MonitorInterval
-		r.Logger = s.log
-		sum, err = r.Run(ctx)
-	}
+	r := core.NewRunner(ops, store, j.c)
+	r.Factory = factory
+	r.Recorder = j.rec
+	r.Events = j.events
+	r.MonitorInterval = s.opts.MonitorInterval
+	r.Logger = s.log
+	sum, err := r.Run(ctx)
 
-	// Drain the provenance journal into the tenant store before saving. One
-	// drain covers sharded runs too: every shard runner records into j.rec,
-	// so the journal already holds the shard-merged event stream.
+	// Drain the provenance journal into the tenant store before saving.
 	if _, derr := store.PutTraceJournal(j.spec.Campaign, j.rec.Journal()); derr != nil && err == nil {
 		err = derr
 	}
@@ -635,7 +625,12 @@ func (s *Server) loadQueue() error {
 		return fmt.Errorf("service: queue file corrupt: %w", err)
 	}
 	for _, spec := range specs {
+		// Unknown fields from older daemons (such as "shards") are ignored;
+		// the limits of today's Validate still apply.
 		c, err := spec.campaign()
+		if err == nil {
+			err = spec.Validate()
+		}
 		if err != nil {
 			s.log.Warn("dropping unresumable queued campaign", "id", spec.ID(), "err", err)
 			continue

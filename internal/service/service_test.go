@@ -213,34 +213,57 @@ func TestServiceRunMatchesDirectRun(t *testing.T) {
 }
 
 // TestShardedServiceMatchesUnsharded submits the same seeded campaign twice
-// — once unsharded, once split across 3 shards — and requires bit-identical
-// persisted rows, additionally pinned by a SHA-256 golden.
+// — once on one worker, once on three — and requires bit-identical persisted
+// rows, additionally pinned by a SHA-256 golden. The test and golden names
+// date from in-process sharding, which workers replaced.
 func TestShardedServiceMatchesUnsharded(t *testing.T) {
 	dirA := t.TempDir()
 	sA := newTestServer(t, Options{DataDir: dirA})
 	plain := testSpec("acme", "svc-shard", 13, 7)
+	plain.Workers = 1
 	if _, err := sA.Submit(plain); err != nil {
 		t.Fatal(err)
 	}
 	if st := waitStatus(t, sA, plain.ID()); st.Status != StatusDone {
-		t.Fatalf("unsharded: %s (%s)", st.Status, st.Error)
+		t.Fatalf("one worker: %s (%s)", st.Status, st.Error)
 	}
 
 	dirB := t.TempDir()
 	sB := newTestServer(t, Options{DataDir: dirB})
-	sharded := plain
-	sharded.Shards = 3
-	if _, err := sB.Submit(sharded); err != nil {
+	pooled := plain
+	pooled.Workers = 3
+	if _, err := sB.Submit(pooled); err != nil {
 		t.Fatal(err)
 	}
-	if st := waitStatus(t, sB, sharded.ID()); st.Status != StatusDone {
-		t.Fatalf("sharded: %s (%s)", st.Status, st.Error)
+	if st := waitStatus(t, sB, pooled.ID()); st.Status != StatusDone {
+		t.Fatalf("three workers: %s (%s)", st.Status, st.Error)
 	}
 
 	want := tenantRows(t, dirA, plain)
-	got := tenantRows(t, dirB, sharded)
-	requireSameRows(t, want, got, "sharded reassembly")
+	got := tenantRows(t, dirB, pooled)
+	requireSameRows(t, want, got, "three workers")
 	checkGolden(t, "shard_golden.txt", rowsDigest(got))
+}
+
+// TestLegacyShardedQueueResumes restarts the service over a queue file that
+// an older daemon persisted for a sharded campaign: the "shards" field is
+// ignored, and the campaign resumes to the golden rows.
+func TestLegacyShardedQueueResumes(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec("acme", "svc-shard", 13, 7)
+	doc, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := `[` + strings.TrimSuffix(string(doc), "}") + `,"shards":3}]`
+	if err := os.WriteFile(filepath.Join(dir, queueFile), []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Options{DataDir: dir})
+	if st := waitStatus(t, s, spec.ID()); st.Status != StatusDone {
+		t.Fatalf("resumed legacy campaign: %s (%s)", st.Status, st.Error)
+	}
+	checkGolden(t, "shard_golden.txt", rowsDigest(tenantRows(t, dir, spec)))
 }
 
 // TestMultiTenantConcurrent storms the daemon with 8 campaigns across 4
@@ -254,7 +277,7 @@ func TestMultiTenantConcurrent(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		spec := testSpec(fmt.Sprintf("tenant%d", i%4), fmt.Sprintf("camp%d", i), 6+i, int64(100+i))
 		if i%3 == 0 {
-			spec.Shards = 2
+			spec.Workers = 3
 		}
 		if i%2 == 1 {
 			spec.Workers = 2
@@ -430,7 +453,8 @@ func TestSpecValidation(t *testing.T) {
 		{"hidden campaign", func(s *Spec) { s.Campaign = ".sneaky" }},
 		{"unknown workload", func(s *Spec) { s.Workload = "no-such" }},
 		{"zero experiments", func(s *Spec) { s.Experiments = 0 }},
-		{"negative shards", func(s *Spec) { s.Shards = -1 }},
+		{"negative workers", func(s *Spec) { s.Workers = -1 }},
+		{"too many workers", func(s *Spec) { s.Workers, s.Experiments = 1000000, 1000000 }},
 		{"bad timeout", func(s *Spec) { s.Timeout = "soon" }},
 		{"bad chaos", func(s *Spec) { s.Chaos = "explode=yes" }},
 	}
@@ -442,6 +466,11 @@ func TestSpecValidation(t *testing.T) {
 				t.Fatalf("Validate accepted %+v", spec)
 			}
 		})
+	}
+	atLimit := testSpec("acme", "ok", 4, 1)
+	atLimit.Workers = maxWorkers
+	if err := atLimit.Validate(); err != nil {
+		t.Fatalf("Validate rejected %d workers: %v", maxWorkers, err)
 	}
 }
 
@@ -623,6 +652,11 @@ func TestHTTPErrors(t *testing.T) {
 	if resp := post(testSpec("", "bad", 4, 1)); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid spec status = %d", resp.StatusCode)
 	}
+	wide := testSpec("acme", "wide", 4, 1)
+	wide.Workers = maxWorkers + 1
+	if resp := post(wide); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("too many workers status = %d", resp.StatusCode)
+	}
 	resp, err := http.Post(srv.URL+"/campaigns", "application/json", strings.NewReader("{nope"))
 	if err != nil {
 		t.Fatal(err)
@@ -630,6 +664,16 @@ func TestHTTPErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed json status = %d", resp.StatusCode)
+	}
+	// Sharding is gone: the field is unknown and the submission refused.
+	resp, err = http.Post(srv.URL+"/campaigns", "application/json", strings.NewReader(
+		`{"tenant":"acme","campaign":"sharded","workload":"bubblesort","locations":"chain:internal.core","experiments":4,"shards":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("shards field status = %d", resp.StatusCode)
 	}
 
 	// Fill the slot and the queue, then overflow and duplicate.

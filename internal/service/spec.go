@@ -7,11 +7,10 @@
 //
 // The genericity argument of the paper (§3) — one engine, many targets —
 // extends here to many clients: campaigns from independent tenants share the
-// process but nothing else. Each tenant owns a database directory; each
-// campaign owns a database file, recorder and event broadcaster; and a large
-// campaign can be split across in-process shards whose reassembled rows are
-// bit-identical to a single-process run (the pre-drawn-plan determinism the
-// parallel engine already guarantees).
+// process but nothing else. Each tenant owns a database directory, and each
+// campaign owns a database file, recorder and event broadcaster. A large
+// campaign runs on several workers, whose rows are bit-identical to a
+// single-worker run (the pre-drawn-plan determinism of the campaign engine).
 package service
 
 import (
@@ -25,8 +24,13 @@ import (
 	"goofi/internal/workload"
 )
 
+// maxWorkers bounds Spec.Workers. The engine mints one target per worker up
+// front, so an unbounded count would let one submission allocate without
+// limit.
+const maxWorkers = 64
+
 // Spec is one campaign submission — the JSON body of POST /campaigns. The
-// engine knobs (workers, shards, retries, timeout, chaos) parallel the flags
+// engine knobs (workers, retries, timeout, chaos) parallel the flags
 // of goofi run; the campaign definition fields parallel goofi setup.
 type Spec struct {
 	// Tenant names the submitting tenant; it becomes the database directory
@@ -47,11 +51,9 @@ type Spec struct {
 	TMax        uint64 `json:"tmax,omitempty"` // default 1000
 	Notes       string `json:"notes,omitempty"`
 
-	// Workers is the in-shard worker count (goofi run -workers).
+	// Workers is the campaign's worker count (goofi run -workers), at most
+	// maxWorkers: each worker runs on its own target instance.
 	Workers int `json:"workers,omitempty"`
-	// Shards splits the campaign across that many in-process shard runners;
-	// the reassembled rows are bit-identical to an unsharded run.
-	Shards int `json:"shards,omitempty"`
 	// Retries and Timeout arm the fault-tolerance layer per experiment.
 	Retries int    `json:"retries,omitempty"`
 	Timeout string `json:"timeout,omitempty"` // Go duration, e.g. "30s"
@@ -95,8 +97,11 @@ func (s Spec) Validate() error {
 	if _, err := s.campaign(); err != nil {
 		return err
 	}
-	if s.Shards < 0 || s.Workers < 0 || s.Retries < 0 {
-		return fmt.Errorf("service: %s: negative shards/workers/retries", s.ID())
+	if s.Workers < 0 || s.Retries < 0 {
+		return fmt.Errorf("service: %s: negative workers/retries", s.ID())
+	}
+	if s.Workers > maxWorkers {
+		return fmt.Errorf("service: %s: %d workers exceeds the limit of %d", s.ID(), s.Workers, maxWorkers)
 	}
 	return nil
 }

@@ -255,3 +255,28 @@ func TestAsCheckpointStore(t *testing.T) {
 		t.Error("Flaky(stub) must probe false")
 	}
 }
+
+// TestDropCheckpointsClearsLegacySlot pins why the campaign engine needs no
+// separate ClearCheckpoint call: the single-slot Checkpointer snapshot lives
+// in the CheckpointStore, so DropCheckpoints discards it too — directly and
+// through the Measured wrapper.
+func TestDropCheckpointsClearsLegacySlot(t *testing.T) {
+	for _, ops := range []Operations{
+		NewDefaultThorTarget(),
+		NewMeasured(NewDefaultThorTarget(), obsv.New(obsv.Options{})),
+	} {
+		armThor(t, ops)
+		cp := ops.(Checkpointer)
+		if err := cp.SaveCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+		cs, ok := AsCheckpointStore(ops)
+		if !ok {
+			t.Fatalf("%T has no checkpoint store", ops)
+		}
+		cs.DropCheckpoints()
+		if ok, err := cp.RestoreCheckpoint(); err != nil || ok {
+			t.Fatalf("%T: restore after DropCheckpoints = %v, %v; want false, nil", ops, ok, err)
+		}
+	}
+}
