@@ -21,8 +21,12 @@ all: ci
 build:
 	$(GO) build ./...
 
+# perfbench is its own module (the root `./...` never reaches it) but
+# compiles against the engine's API, so vet type-checks it too. vet, not
+# build: a build would leave a perfbench binary in the tree.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # gofmt cleanliness gate: `gofmt -l` prints the names of misformatted files
 # and exits 0 regardless, so fail explicitly when the list is non-empty.

@@ -279,8 +279,12 @@ func cmdRun(args []string) error {
 	// phase times include the chaos delays the engine actually experienced.
 	var rec *goofi.Recorder
 	var events *goofi.Broadcaster
+	var journal *goofi.TraceJournal // persisted only with -provenance
 	if *metricsOut != "" || *traceOut != "" || *debugAddr != "" || *provenance {
 		rec = goofi.NewRecorder(goofi.RecorderOptions{Trace: *traceOut != "", Journal: *provenance})
+		if *provenance {
+			journal = rec.Journal()
+		}
 		db.SetRecorder(rec)
 		if storageFS != nil {
 			storageFS.SetRecorder(rec)
@@ -329,7 +333,7 @@ func cmdRun(args []string) error {
 		if oerr := writeObsv(rec, *metricsOut, *traceOut); oerr != nil {
 			logger.Error("observability output failed", "err", oerr)
 		}
-		drainJournal(db, c.Name, rec)
+		drainJournal(db, c.Name, journal)
 		if saveErr := db.Save(); saveErr != nil {
 			return saveErr
 		}
@@ -355,7 +359,7 @@ func cmdRun(args []string) error {
 	if err := writeObsv(rec, *metricsOut, *traceOut); err != nil {
 		return err
 	}
-	drainJournal(db, c.Name, rec)
+	drainJournal(db, c.Name, journal)
 	if err := db.Save(); err != nil {
 		return err
 	}
@@ -378,9 +382,8 @@ func cmdRun(args []string) error {
 // drainJournal persists a provenance journal, if one was recorded, into the
 // campaign's trace table. Best-effort: a failed drain is logged, not
 // returned, so it cannot mask the run's own outcome.
-func drainJournal(db *goofi.Database, campaign string, rec *goofi.Recorder) {
-	j := rec.Journal()
-	if j == nil || j.Len() == 0 {
+func drainJournal(db *goofi.Database, campaign string, j *goofi.TraceJournal) {
+	if j.Len() == 0 {
 		return
 	}
 	runID, err := db.PutTraceJournal(campaign, j)
@@ -388,7 +391,11 @@ func drainJournal(db *goofi.Database, campaign string, rec *goofi.Recorder) {
 		logger.Error("provenance journal persist failed", "err", err)
 		return
 	}
-	logger.Info("provenance journal persisted",
+	log := logger.Info
+	if j.Dropped() > 0 {
+		log = logger.Warn // the ring overwrote the oldest events
+	}
+	log("provenance journal persisted",
 		"campaign", campaign, "run", runID, "events", j.Len(), "dropped", j.Dropped())
 }
 

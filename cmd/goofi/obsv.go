@@ -19,8 +19,9 @@ import (
 	"goofi"
 )
 
-// writeObsv dumps the recorder's metrics snapshot and Chrome trace to the
-// requested files. A nil recorder (observability off) is a no-op.
+// writeObsv dumps the recorder's metrics snapshot and its journal, as a
+// Chrome trace, to the requested files. A nil recorder (observability off)
+// is a no-op.
 func writeObsv(rec *goofi.Recorder, metricsPath, tracePath string) error {
 	if rec == nil {
 		return nil
@@ -44,7 +45,7 @@ func writeObsv(rec *goofi.Recorder, metricsPath, tracePath string) error {
 		if err != nil {
 			return err
 		}
-		if err := rec.WriteTrace(f); err != nil {
+		if err := goofi.WriteChromeTraceEvents(f, rec.Journal().Events()); err != nil {
 			f.Close()
 			return err
 		}

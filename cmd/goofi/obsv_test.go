@@ -71,7 +71,8 @@ func TestCLIRunWithObservability(t *testing.T) {
 	}
 
 	// The trace file must be well-formed trace_event JSON with the
-	// displayTimeUnit Chrome expects and at least one complete ("X") event.
+	// displayTimeUnit Chrome expects: complete ("X") slices for spans,
+	// instant ("i") marks for the rest, events named "kind [experiment]".
 	raw, err := os.ReadFile(trace)
 	if err != nil {
 		t.Fatal(err)
@@ -92,16 +93,28 @@ func TestCLIRunWithObservability(t *testing.T) {
 		t.Fatalf("trace: unit=%q events=%d", tf.DisplayTimeUnit, len(tf.TraceEvents))
 	}
 	seen := map[string]bool{}
+	complete := 0
 	for _, e := range tf.TraceEvents {
-		if e.Ph != "X" || e.Ts < 0 || e.Dur < 0 {
+		switch {
+		case e.Ph == "X" && e.Ts >= 0 && e.Dur >= 0:
+			complete++
+		case e.Ph != "i" || e.Ts < 0:
 			t.Fatalf("bad event %+v", e)
 		}
 		seen[e.Name] = true
 	}
-	for _, want := range []string{"reference", "obs/e0000", "inject", "workload"} {
+	if complete == 0 {
+		t.Fatal("trace has no complete events")
+	}
+	for _, want := range []string{"attempt obs/ref", "attempt obs/e0000", "inject obs/e0000", "workload obs/e0000"} {
 		if !seen[want] {
 			t.Errorf("trace missing %q events", want)
 		}
+	}
+	// -trace-out alone persists no provenance rows.
+	if err := run([]string{"trace", "-db", db, "obs"}); err == nil ||
+		!strings.Contains(err.Error(), "no provenance events") {
+		t.Fatalf("trace after -trace-out run: %v, want no provenance events", err)
 	}
 
 	// goofi stats renders the snapshot; a non-snapshot file is rejected.

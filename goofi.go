@@ -476,7 +476,8 @@ func ParseFlakyConfig(spec string) (FlakyConfig, error) {
 
 // Observability: a nil-safe Recorder collects per-phase timings, counters
 // and latency histograms across the engine, target and database layers, and
-// can emit Chrome trace_event JSON. Wire one recorder through all three:
+// journals wide events that export as Chrome trace_event JSON. Wire one
+// recorder through all three:
 //
 //	rec := goofi.NewRecorder(goofi.RecorderOptions{Trace: true})
 //	db.SetRecorder(rec)
@@ -485,7 +486,7 @@ func ParseFlakyConfig(spec string) (FlakyConfig, error) {
 //	r.Recorder = rec
 //	...
 //	rec.WriteMetrics(metricsFile)
-//	rec.WriteTrace(traceFile)
+//	goofi.WriteChromeTraceEvents(traceFile, rec.Journal().Events())
 type (
 	// Recorder is the observability hub; nil disables everything at zero
 	// cost.

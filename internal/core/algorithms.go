@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"goofi/internal/faultmodel"
 	"goofi/internal/obsv"
@@ -52,12 +53,14 @@ func finish(ops target.Operations, c Campaign, plan faultmodel.Plan, injected in
 
 // injectScan applies scan-domain injections: readScanChain → flip/force →
 // writeScanChain, grouped per chain so simultaneous multi-bit faults in one
-// chain need a single shift sequence. When ops is instrumented
-// (target.Measured), the whole read-modify-write appears as an "inject"
-// group span in the trace; the scan shifts inside it are the leaf phases.
+// chain need a single shift sequence. With a journal attached, the whole
+// read-modify-write is one inject span event, attributed to the attempt in
+// flight via the context the runner stamped onto the target stack; the scan
+// shifts inside it are the leaf phases.
 func injectScan(ops target.Operations, injs []faultmodel.Injection) error {
-	defer obsv.GroupOf(ops, "inject").End()
-	emitInject(ops, "scan", injs)
+	if tc := target.TraceContextOf(ops); tc.Enabled() {
+		defer tc.EmitSpan(obsv.EvInject, fmt.Sprintf("domain=scan injections=%d", len(injs)), time.Now())
+	}
 	byChain := map[string][]faultmodel.Injection{}
 	var order []string
 	for _, inj := range injs {
@@ -88,19 +91,11 @@ func injectScan(ops target.Operations, injs []faultmodel.Injection) error {
 	return nil
 }
 
-// emitInject records the performed injection as a provenance wide event,
-// attributed to the attempt in flight via the context the runner stamped
-// onto the target stack. Disabled journals cost one branch.
-func emitInject(ops target.Operations, domain string, injs []faultmodel.Injection) {
-	if tc := target.TraceContextOf(ops); tc.Enabled() {
-		tc.Emit(obsv.EvInject, fmt.Sprintf("domain=%s injections=%d", domain, len(injs)))
-	}
-}
-
 // injectMemory applies memory-domain injections through the test-card port.
 func injectMemory(ops target.Operations, injs []faultmodel.Injection) error {
-	defer obsv.GroupOf(ops, "inject").End()
-	emitInject(ops, "memory", injs)
+	if tc := target.TraceContextOf(ops); tc.Enabled() {
+		defer tc.EmitSpan(obsv.EvInject, fmt.Sprintf("domain=memory injections=%d", len(injs)), time.Now())
+	}
 	for _, inj := range injs {
 		vals, err := ops.ReadMemory(inj.Loc.Addr, 1)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -238,7 +239,6 @@ func (p *pipeline) reference(logged map[string]bool) (target.Operations, error) 
 		body = func(ops target.Operations) Algorithm { return h.golden(r, ops) }
 	}
 
-	gsp := r.Recorder.BeginGroup("reference", 0)
 	out := r.runExperiment(ops, body(ops), faultmodel.Plan{}, refIndex, 0)
 	for hangs := 0; out.hung && r.Factory != nil && hangs < c.RetryLimit; hangs++ {
 		// The abandoned goroutine still owns the hung target (and, forked,
@@ -263,7 +263,6 @@ func (p *pipeline) reference(logged map[string]bool) (target.Operations, error) 
 		// real experiment uses. The logged reference row is index-independent.
 		out = r.runExperiment(ops, body(ops), faultmodel.Plan{}, refIndex-1-hangs, 0)
 	}
-	gsp.End()
 	p.sum.Retries += out.retries
 	switch {
 	case out.err != nil:
@@ -324,9 +323,7 @@ func (p *pipeline) work(e *executor) {
 			return
 		}
 		j := p.jobs[k]
-		gsp := r.Recorder.BeginGroup(j.name, e.tid)
 		out := r.runExperiment(e.ops, e.run, j.plan, j.idx, e.tid)
-		gsp.End()
 		var lostErr error
 		if out.hung {
 			// The target wedged and still belongs to the abandoned attempt
@@ -512,13 +509,18 @@ func (cm *committer) loop() {
 			// resume scan re-runs them.
 			continue
 		}
-		// A trace span, not a leaf phase: the commit stage runs beside the
+		// A trace event, not a leaf phase: the commit stage runs beside the
 		// executors, so counting it in the phase partition would
 		// double-count wall-clock. Its latency is the store.PutExperiments
 		// histogram.
-		fsp := cm.r.Recorder.BeginGroup("store-flush", 0)
+		var began time.Time
+		if cm.r.Recorder.Tracing() {
+			began = time.Now()
+		}
 		err := cm.r.putRows(batch)
-		fsp.End()
+		if !began.IsZero() {
+			obsv.TraceContext{Rec: cm.r.Recorder}.EmitSpan(obsv.PhaseFlush.String(), "rows="+strconv.Itoa(len(batch)), began)
+		}
 		if err != nil {
 			failed = true
 			cm.fail(err)

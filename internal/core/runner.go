@@ -137,10 +137,10 @@ type Runner struct {
 	Factory target.Factory
 
 	// Recorder, when set, collects engine-level observability: plan drawing
-	// and retry backoff phases, per-experiment and store-flush trace spans, and
-	// the campaign counters/wall-clock. nil disables it at zero cost. Pair it
-	// with a target.Measured wrapper (same recorder) to cover the
-	// target-operation phases too.
+	// and retry backoff phases, the journal's attempt, inject and
+	// store-flush events, and the campaign counters/wall-clock. nil
+	// disables it at zero cost. Pair it with a target.Measured wrapper
+	// (same recorder) to cover the target-operation phases too.
 	Recorder *obsv.Recorder
 
 	// Events, when set, receives live CampaignEvent frames: one per
@@ -331,12 +331,12 @@ func (r *Runner) runExperiment(ops target.Operations, run Algorithm, plan faultm
 			if shift > 6 {
 				shift = 6 // cap the exponential curve, not the retry count
 			}
-			sp := r.Recorder.Begin(obsv.PhaseRetry, tid)
-			bstart := time.Now()
+			sp := r.Recorder.BeginIn(obsv.PhaseRetry, tc)
 			time.Sleep(c.RetryBackoff << shift)
-			sp.End()
 			if journal != nil {
-				tc.EmitSpan(obsv.EvRetry, fmt.Sprintf("backoff=%v cause=%v", c.RetryBackoff<<shift, err), bstart)
+				sp.EndEvent(obsv.EvRetry, fmt.Sprintf("backoff=%v cause=%v", c.RetryBackoff<<shift, err))
+			} else {
+				sp.End()
 			}
 		} else if journal != nil {
 			tc.Emit(obsv.EvRetry, fmt.Sprintf("cause=%v", err))

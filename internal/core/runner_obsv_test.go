@@ -1,13 +1,17 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
+	"goofi/internal/dbase"
 	"goofi/internal/obsv"
+	"goofi/internal/sqldb"
 	"goofi/internal/target"
 )
 
@@ -65,29 +69,44 @@ func TestRunnerInstrumentedSequential(t *testing.T) {
 		t.Fatalf("store counters missing: %+v", snap.Counters)
 	}
 
-	// The trace must be valid Chrome trace JSON containing experiment
-	// groups, inject groups and leaf phases.
-	var buf bytes.Buffer
-	if err := rec.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var tf obsv.TraceFile
-	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
-		t.Fatalf("trace JSON: %v", err)
-	}
+	// The journal must export as valid Chrome trace JSON containing the
+	// reference and experiment attempts, injections and leaf phases, each
+	// named "kind [experiment]".
+	tf := chromeTrace(t, rec)
 	names := map[string]int{}
+	kinds := map[string]int{}
 	for _, e := range tf.TraceEvents {
 		names[e.Name]++
+		kinds[strings.Fields(e.Name)[0]]++
 	}
-	for _, want := range []string{"reference", "obs1/e0000", "inject", "workload", "scan-in", "scan-out", "store-flush", "plan"} {
+	for _, want := range []string{"attempt obs1/ref", "attempt obs1/e0000", "inject obs1/e0000", "workload obs1/e0000", "store-flush", "plan"} {
 		if names[want] == 0 {
 			t.Errorf("trace missing %q events (have %v)", want, names)
 		}
 	}
+	for _, want := range []string{"scan-in", "scan-out"} {
+		if kinds[want] == 0 {
+			t.Errorf("trace missing %q events (have %v)", want, kinds)
+		}
+	}
+}
+
+// chromeTrace exports rec's journal as a Chrome trace and parses it back.
+func chromeTrace(t *testing.T, rec *obsv.Recorder) obsv.TraceFile {
+	t.Helper()
+	raw, err := json.Marshal(obsv.ChromeTrace(rec.Journal().Events()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tf obsv.TraceFile
+	if err := json.Unmarshal(raw, &tf); err != nil {
+		t.Fatalf("trace JSON: %v", err)
+	}
+	return tf
 }
 
 // TestRunnerInstrumentedParallel checks worker-threaded tracing: every
-// worker records under its own tid and experiment groups land on worker
+// worker records under its own tid and experiment attempts land on worker
 // threads, while coordinator phases stay on tid 0.
 func TestRunnerInstrumentedParallel(t *testing.T) {
 	rec := obsv.New(obsv.Options{Trace: true})
@@ -105,31 +124,133 @@ func TestRunnerInstrumentedParallel(t *testing.T) {
 	if sum.Completed != 8 {
 		t.Fatalf("completed = %d", sum.Completed)
 	}
-	var buf bytes.Buffer
-	if err := rec.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var tf obsv.TraceFile
-	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
-		t.Fatal(err)
-	}
+	tf := chromeTrace(t, rec)
 	workerTids := map[int32]bool{}
+	flushes := 0
 	for _, e := range tf.TraceEvents {
+		kind := strings.Fields(e.Name)[0]
 		if e.Tid > 0 {
 			workerTids[e.Tid] = true
 		}
-		if e.Name == "plan" && e.Tid != 0 {
-			t.Errorf("plan phase on tid %d, want coordinator", e.Tid)
+		if kind == "attempt" && strings.HasPrefix(e.Name, "attempt obsp/e") && e.Tid <= 0 {
+			t.Errorf("experiment attempt %q on tid %d, want a worker", e.Name, e.Tid)
 		}
-		if e.Name == "store-flush" && e.Tid != 0 {
-			t.Errorf("flush phase on tid %d, want coordinator", e.Tid)
+		if kind == "plan" && e.Tid != 0 {
+			t.Errorf("plan event %q on tid %d, want coordinator", e.Name, e.Tid)
 		}
+		if kind == "store-flush" {
+			flushes++
+			if e.Tid != 0 {
+				t.Errorf("flush on tid %d, want coordinator", e.Tid)
+			}
+		}
+	}
+	if flushes == 0 {
+		t.Error("trace has no store-flush events")
 	}
 	if len(workerTids) < 2 {
 		t.Errorf("worker tids = %v, want several", workerTids)
 	}
 	if rec.Snapshot().Gauges["campaign.workers"] != 3 {
 		t.Errorf("workers gauge = %d", rec.Snapshot().Gauges["campaign.workers"])
+	}
+}
+
+// TestTracedSectionsRecordedOnce: with spans journalled, every timed section
+// is one event. A traced chaos campaign over a WAL store with retry backoff
+// yields exactly one retry-backoff event per retry, one wal-commit event per
+// group commit, one event per leaf-phase observation and one inject event
+// per injecting attempt — nothing timed twice, nothing dropped.
+func TestTracedSectionsRecordedOnce(t *testing.T) {
+	store, err := dbase.OpenStoreWAL(filepath.Join(t.TempDir(), "campaign.db"), sqldb.WALOptions{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obsv.New(obsv.Options{Trace: true})
+	store.SetRecorder(rec)
+	thor := target.NewDefaultThorTarget()
+	if err := RegisterTarget(store, thor, "traced target"); err != nil {
+		t.Fatal(err)
+	}
+	flaky := target.NewFlaky(thor, target.FlakyConfig{ErrorRate: 0.01, PanicRate: 0.002, Seed: 7})
+	c := chaosCampaign("once", 12)
+	r := NewRunner(target.NewMeasured(flaky, rec), store, c)
+	r.Recorder = rec
+	sum, err := r.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Closing the store drains the WAL committer, so every commit round is
+	// in both the counters and the journal.
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if sum.Retries == 0 {
+		t.Fatal("campaign exercised no retries; retune the chaos seed")
+	}
+	snap := rec.Snapshot()
+	if snap.TraceDropped != 0 {
+		t.Fatalf("journal dropped %d events", snap.TraceDropped)
+	}
+
+	// A leaf phase's events carry its name, except the WAL's group commit,
+	// which is the wal-commit provenance event. Two kinds share a phase
+	// name without being its spans: per-experiment plan draws and the
+	// commit stage's flushes (rows=N).
+	events := rec.Journal().Events()
+	kinds := map[string]int{}
+	injects := map[string]int{} // experiment/attempt -> inject events
+	for _, ev := range events {
+		switch {
+		case ev.Kind == obsv.EvPlan && ev.Experiment != "":
+			kinds["plan draw"]++
+		case ev.Kind == obsv.PhaseFlush.String() && strings.HasPrefix(ev.Detail, "rows="):
+			kinds["commit flush"]++
+		default:
+			kinds[ev.Kind]++
+		}
+		if ev.Kind == obsv.EvInject {
+			injects[ev.Experiment+"#"+strconv.Itoa(ev.Attempt)]++
+		}
+	}
+	if kinds[obsv.EvRetry] != sum.Retries {
+		t.Errorf("retry-backoff events = %d, summary retries = %d", kinds[obsv.EvRetry], sum.Retries)
+	}
+	if got := snap.Counters["wal.commit-batches"]; int64(kinds[obsv.EvWALCommit]) != got || got == 0 {
+		t.Errorf("wal-commit events = %d, wal.commit-batches = %d", kinds[obsv.EvWALCommit], got)
+	}
+	if kinds["plan draw"] != c.NExperiments || kinds["commit flush"] == 0 {
+		t.Errorf("plan draws = %d, commit flushes = %d", kinds["plan draw"], kinds["commit flush"])
+	}
+	for _, ph := range snap.Phases {
+		kind := ph.Phase
+		if kind == obsv.PhaseWALAppend.String() {
+			kind = obsv.EvWALCommit
+		}
+		if int64(kinds[kind]) != ph.Count {
+			t.Errorf("phase %s: %d events, histogram count %d", ph.Phase, kinds[kind], ph.Count)
+		}
+	}
+
+	// No attempt injected twice, and every experiment's successful attempt
+	// injected exactly once.
+	for key, n := range injects {
+		if n != 1 {
+			t.Errorf("attempt %s: %d inject events", key, n)
+		}
+	}
+	ok := 0
+	for _, ev := range events {
+		if ev.Kind == obsv.EvAttempt && strings.HasPrefix(ev.Detail, "outcome=ok") &&
+			!strings.HasSuffix(ev.Experiment, RefSuffix) {
+			ok++
+			if key := ev.Experiment + "#" + strconv.Itoa(ev.Attempt); injects[key] != 1 {
+				t.Errorf("successful attempt %s: %d inject events", key, injects[key])
+			}
+		}
+	}
+	if ok != c.NExperiments {
+		t.Errorf("%d successful experiment attempts, want %d", ok, c.NExperiments)
 	}
 }
 

@@ -13,7 +13,9 @@ import (
 // any storage faults fired while the attempt was in flight.
 //
 // Events flow into a bounded ring Journal attached to the Recorder
-// (Options.Journal). The disabled state follows the package's nil rule: a
+// (Options.Journal). With Options.Trace the same ring also receives one
+// event per leaf-phase span, whose Kind is the phase name, so provenance and
+// timing share one timeline. The disabled state follows the package's nil rule: a
 // nil *Journal no-ops, Recorder.Journal() returns nil when journalling is
 // off, and emitters guard all detail-string formatting behind that nil
 // check, so the disabled path costs one branch and zero allocations.
@@ -26,7 +28,8 @@ const (
 	// EvAttempt: one experiment attempt ran; TimeNs is its start, DurNs its
 	// duration, Detail its outcome.
 	EvAttempt = "attempt"
-	// EvInject: the fault-injection algorithm performed an injection.
+	// EvInject: the fault-injection algorithm performed an injection; the
+	// span covers its read-modify-write.
 	EvInject = "inject"
 	// EvRetry: the engine slept a retry backoff after a transient fault;
 	// Detail names the fault that caused it.
@@ -76,7 +79,7 @@ type WideEvent struct {
 	// live journal (assigned when the journal is drained to the store).
 	RunID int64 `json:"runId,omitempty"`
 	// TimeNs is the event's wall-clock time (Unix nanoseconds). For span
-	// events (EvAttempt, EvRetry, EvWALCommit) it is the start time.
+	// events (those with a DurNs) it is the start time.
 	TimeNs int64 `json:"timeNs"`
 	// DurNs is the span duration; 0 for instant events.
 	DurNs int64 `json:"durNs,omitempty"`
@@ -103,30 +106,24 @@ type WideEvent struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// DefaultJournalCap bounds the ring journal when Options.JournalCap is zero:
-// enough for tens of thousands of experiments' worth of events without
-// letting a runaway campaign hold gigabytes.
-const DefaultJournalCap = 1 << 16
-
-// Journal is a bounded, drop-counting ring of wide events. When full, the
-// oldest event is overwritten and Dropped is incremented — recent history
-// wins, and the drop counter keeps the loss honest. All methods are safe for
-// concurrent use and no-op on a nil *Journal.
+// Journal is a bounded, drop-counting ring of wide events. It grows on
+// demand up to its capacity; when full, the oldest event is overwritten and
+// Dropped is incremented — recent history wins, and the drop counter keeps
+// the loss honest. All methods are safe for concurrent use and no-op on a
+// nil *Journal.
 type Journal struct {
 	mu      sync.Mutex
-	buf     []WideEvent
-	start   int // ring index of the oldest buffered event
-	n       int // buffered events
+	buf     []WideEvent // grows to max, then wraps
+	max     int
+	start   int // ring index of the oldest buffered event once wrapped
 	seq     int64
 	dropped int64
 }
 
-// NewJournal builds a journal holding at most cap events (0 = default).
+// NewJournal builds a journal holding at most capacity events. No event
+// storage is allocated until events arrive.
 func NewJournal(capacity int) *Journal {
-	if capacity <= 0 {
-		capacity = DefaultJournalCap
-	}
-	return &Journal{buf: make([]WideEvent, capacity)}
+	return &Journal{max: max(capacity, 1)}
 }
 
 // Emit appends one event, assigning its Seq and stamping TimeNs with the
@@ -141,9 +138,14 @@ func (j *Journal) Emit(ev WideEvent) {
 	j.mu.Lock()
 	j.seq++
 	ev.Seq = j.seq
-	if j.n < len(j.buf) {
-		j.buf[(j.start+j.n)%len(j.buf)] = ev
-		j.n++
+	if len(j.buf) < j.max {
+		if len(j.buf) == cap(j.buf) {
+			// Grow by doubling, but never past the capacity.
+			grown := make([]WideEvent, len(j.buf), min(max(2*cap(j.buf), 16), j.max))
+			copy(grown, j.buf)
+			j.buf = grown
+		}
+		j.buf = append(j.buf, ev)
 	} else {
 		j.buf[j.start] = ev
 		j.start = (j.start + 1) % len(j.buf)
@@ -159,11 +161,9 @@ func (j *Journal) Events() []WideEvent {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]WideEvent, j.n)
-	for i := 0; i < j.n; i++ {
-		out[i] = j.buf[(j.start+i)%len(j.buf)]
-	}
-	return out
+	out := make([]WideEvent, 0, len(j.buf))
+	out = append(out, j.buf[j.start:]...)
+	return append(out, j.buf[:j.start]...)
 }
 
 // Len reports the buffered event count.
@@ -173,7 +173,7 @@ func (j *Journal) Len() int {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.n
+	return len(j.buf)
 }
 
 // Dropped reports how many events were overwritten past the ring capacity.

@@ -1,9 +1,10 @@
 // Package obsv is GOOFI's observability subsystem: a dependency-free
 // metrics registry (atomic counters, gauges, streaming histograms with
-// p50/p95/p99) and a per-experiment span tracer that records where campaign
-// wall-clock time goes — target initialisation, the golden reference run,
-// scan shift-in/out, workload execution, injection, retry attempts, store
-// flushes — and emits Chrome trace_event-format JSON.
+// p50/p95/p99) and one wide-event journal that records what a campaign did
+// and where its wall-clock time went — target initialisation, planning,
+// scan shift-in/out, workload execution, injections, attempts, retry
+// backoffs, store flushes, WAL commits — exported as Chrome trace_event JSON
+// (ChromeTrace) or persisted as provenance rows.
 //
 // The central type is Recorder. Every method is nil-safe: a nil *Recorder
 // is the disabled state and costs one branch and zero allocations on the
@@ -14,16 +15,12 @@
 // Phase accounting follows one rule that makes the numbers trustworthy:
 // the Phase* constants are LEAF phases that never overlap in time on one
 // goroutine, so their durations sum to (just under) the campaign
-// wall-clock. Grouping spans — the campaign, the reference run, one
-// experiment, one injection — are trace-only (BeginGroup) and deliberately
-// excluded from the phase metrics, because they contain leaf phases and
-// would double-count.
+// wall-clock. Sections that contain leaf phases — an attempt, one
+// injection, a commit-stage flush — are journal events only and stay out
+// of the phase metrics, because they would double-count.
 package obsv
 
-import (
-	"io"
-	"time"
-)
+import "time"
 
 // Phase identifies one leaf phase of campaign execution. Leaf phases are
 // mutually exclusive in time on any one goroutine: their total durations
@@ -56,7 +53,7 @@ const (
 	PhaseRetry
 	// PhaseFlush is the campaign waiting on its store: the final drain of
 	// the commit stage. The commit stage itself runs beside the executors
-	// and records its flushes as "store-flush" trace spans.
+	// and records its flushes as "store-flush" journal events (traced runs).
 	PhaseFlush
 	// PhaseWALAppend is the write-ahead log's group-commit work: writing
 	// coalesced record batches and fsyncing them. It runs on the WAL's own
@@ -90,48 +87,51 @@ func (p Phase) String() string {
 	return "unknown"
 }
 
-// Options configures a Recorder.
+// Options configures a Recorder. Metrics are always on for a non-nil
+// recorder; both options switch on the wide-event journal (journal.go).
 type Options struct {
-	// Trace enables the span tracer (Chrome trace_event buffer). Metrics
-	// are always on for a non-nil recorder.
+	// Trace also journals every leaf-phase span as a wide event, the
+	// timeline behind Chrome trace export (ChromeTrace).
 	Trace bool
-	// TraceCap bounds the buffered trace events; 0 means DefaultTraceCap.
-	TraceCap int
-	// Journal enables the provenance wide-event journal (see journal.go).
+	// Journal records provenance events only.
 	Journal bool
-	// JournalCap bounds the journal ring; 0 means DefaultJournalCap.
-	JournalCap int
 }
 
-// Recorder collects metrics (always, when non-nil) and trace spans (when
-// Options.Trace). The zero value is not usable; construct with New. A nil
-// *Recorder is the disabled state: every method no-ops.
+// Journal capacities: a provenance-only ring holds tens of thousands of
+// experiments' worth of events; one that also holds spans needs room for a
+// dozen-odd phase events per experiment.
+const (
+	provenanceCap = 1 << 16
+	spanCap       = 1 << 20
+)
+
+// Recorder collects metrics (always, when non-nil) and wide events (when
+// Options.Trace or Options.Journal). The zero value is not usable; construct
+// with New. A nil *Recorder is the disabled state: every method no-ops.
 type Recorder struct {
-	epoch   time.Time
 	reg     *Registry
-	tracer  *tracer
 	journal *Journal
+	spans   bool // leaf-phase spans are journalled (Options.Trace)
 	phases  [NumPhases]*Histogram
 }
 
-// New builds a recorder. The trace epoch (ts=0 of the trace file) is the
-// moment of creation.
+// New builds a recorder.
 func New(o Options) *Recorder {
-	r := &Recorder{epoch: time.Now(), reg: NewRegistry()}
+	r := &Recorder{reg: NewRegistry(), spans: o.Trace}
 	for p := Phase(0); p < NumPhases; p++ {
 		r.phases[p] = r.reg.Histogram("phase." + p.String())
 	}
-	if o.Trace {
-		r.tracer = newTracer(o.TraceCap)
-	}
-	if o.Journal {
-		r.journal = NewJournal(o.JournalCap)
+	switch {
+	case o.Trace:
+		r.journal = NewJournal(spanCap)
+	case o.Journal:
+		r.journal = NewJournal(provenanceCap)
 	}
 	return r
 }
 
-// Journal returns the provenance wide-event journal, or nil when journalling
-// is disabled (including on a nil recorder). Emitters branch on the returned
+// Journal returns the wide-event journal, or nil when journalling is
+// disabled (including on a nil recorder). Emitters branch on the returned
 // pointer before formatting any event detail, keeping the disabled path free
 // of allocations.
 func (r *Recorder) Journal() *Journal {
@@ -139,6 +139,12 @@ func (r *Recorder) Journal() *Journal {
 		return nil
 	}
 	return r.journal
+}
+
+// Tracing reports whether leaf-phase spans are journalled (Options.Trace).
+// Sections that are timed only for the trace timeline branch on it.
+func (r *Recorder) Tracing() bool {
+	return r != nil && r.spans
 }
 
 // Registry exposes the underlying metrics registry (nil on a nil recorder).
@@ -149,51 +155,59 @@ func (r *Recorder) Registry() *Registry {
 	return r.reg
 }
 
-// Span is one in-flight timed section. Span is a value type: starting and
-// ending a span allocates nothing.
+// Span is one in-flight leaf-phase section. Span is a value type: starting
+// and ending a span allocates nothing.
 type Span struct {
-	r     *Recorder
+	tc    TraceContext // recorder, thread and attempt the span belongs to
 	start time.Time
-	name  string // grouping spans only
-	phase int8   // >= 0: leaf phase; < 0: trace-only grouping span
-	tid   int32
+	phase Phase
 }
 
 // Begin starts a leaf-phase span on virtual thread tid (0 = the campaign
-// coordinator, 1..N = worker goroutines). The duration is recorded into the
-// phase histogram on End, and into the trace when tracing is on.
+// coordinator, 1..N = executors, negative = the reserved lanes).
 func (r *Recorder) Begin(p Phase, tid int32) Span {
+	return r.BeginIn(p, TraceContext{TID: tid})
+}
+
+// BeginIn starts a leaf-phase span attributed to tc's attempt: its event
+// names tc's campaign, experiment and attempt on thread tc.TID. The span
+// records into r whatever tc.Rec holds, so a context the runner never
+// stamped (journal off) still times the phase.
+func (r *Recorder) BeginIn(p Phase, tc TraceContext) Span {
 	if r == nil {
 		return Span{}
 	}
-	return Span{r: r, start: time.Now(), phase: int8(p), tid: tid}
+	tc.Rec = r
+	return Span{tc: tc, start: time.Now(), phase: p}
 }
 
-// BeginGroup starts a trace-only grouping span (an experiment, the
-// reference run, one injection). Grouping spans contain leaf phases and are
-// therefore excluded from the phase metrics — they exist to structure the
-// trace timeline. With tracing off this records nothing.
-func (r *Recorder) BeginGroup(name string, tid int32) Span {
-	if r == nil || r.tracer == nil {
-		return Span{}
-	}
-	return Span{r: r, start: time.Now(), name: name, phase: -1, tid: tid}
-}
-
-// End closes the span, recording its duration. End on a zero Span no-ops.
+// End closes the span: its duration goes into the phase histogram and, when
+// spans are journalled, into one wide event named after the phase. End on a
+// zero Span no-ops.
 func (s Span) End() {
-	if s.r == nil {
+	r := s.tc.Rec
+	if r == nil {
 		return
 	}
 	d := time.Since(s.start)
-	if s.phase >= 0 {
-		s.r.phases[s.phase].Observe(int64(d))
-		if s.r.tracer != nil {
-			s.r.tracer.add(Phase(s.phase).String(), "phase", s.tid, s.start.Sub(s.r.epoch), d)
-		}
+	r.phases[s.phase].Observe(int64(d))
+	if r.spans {
+		s.tc.emit(s.phase.String(), "", s.start.UnixNano(), int64(d))
+	}
+}
+
+// EndEvent closes the span like End, but journals it as a provenance event
+// of the given kind and detail whenever the journal is on, spans or not: a
+// section that is both a leaf phase and a provenance event (a retry
+// backoff, a WAL group commit) is timed once and recorded once.
+func (s Span) EndEvent(kind, detail string) {
+	r := s.tc.Rec
+	if r == nil {
 		return
 	}
-	s.r.tracer.add(s.name, "group", s.tid, s.start.Sub(s.r.epoch), d)
+	d := time.Since(s.start)
+	r.phases[s.phase].Observe(int64(d))
+	s.tc.emit(kind, detail, s.start.UnixNano(), int64(d))
 }
 
 // PhaseTotal returns the accumulated nanoseconds of one leaf phase.
@@ -245,34 +259,4 @@ func (r *Recorder) SetWallClock(d time.Duration) {
 		return
 	}
 	r.reg.Gauge("campaign.wall_ns").Set(int64(d))
-}
-
-// WriteTrace emits the buffered spans as a Chrome-loadable trace_event JSON
-// document. With tracing off it writes a valid empty trace.
-func (r *Recorder) WriteTrace(w io.Writer) error {
-	if r == nil || r.tracer == nil {
-		return newTracer(1).writeJSON(w)
-	}
-	return r.tracer.writeJSON(w)
-}
-
-// Carrier is implemented by instrumented wrappers (target.Measured) so that
-// code holding only an abstract interface — the injection algorithms — can
-// reach the recorder travelling with it.
-type Carrier interface {
-	// ObsvRecorder returns the wrapper's recorder (possibly nil).
-	ObsvRecorder() *Recorder
-	// ObsvTID returns the virtual thread id the wrapper records under.
-	ObsvTID() int32
-}
-
-// GroupOf starts a trace-only grouping span on v's recorder if v is a
-// Carrier, and a no-op span otherwise — the zero-cost hook the injection
-// algorithms use without knowing whether the target is instrumented.
-func GroupOf(v any, name string) Span {
-	c, ok := v.(Carrier)
-	if !ok {
-		return Span{}
-	}
-	return c.ObsvRecorder().BeginGroup(name, c.ObsvTID())
 }

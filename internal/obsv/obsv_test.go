@@ -68,7 +68,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	sp := r.Begin(PhaseInit, 0)
 	sp.End()
-	r.BeginGroup("g", 1).End()
+	r.BeginIn(PhaseRetry, TraceContext{Experiment: "e", TID: 1}).EndEvent(EvRetry, "x")
 	r.Count("c", 1)
 	r.SetGauge("g", 2)
 	r.Observe("h", time.Millisecond)
@@ -80,13 +80,17 @@ func TestNilRecorderSafe(t *testing.T) {
 	if got := r.Snapshot(); got.WallClockNs != 0 || len(got.Phases) != 0 {
 		t.Fatalf("nil snapshot = %+v", got)
 	}
-	var buf bytes.Buffer
-	if err := r.WriteTrace(&buf); err != nil {
+	if r.Tracing() || r.Journal() != nil {
+		t.Fatal("nil recorder journals")
+	}
+	// An empty journal still exports a valid (empty) trace.
+	raw, err := json.Marshal(ChromeTrace(r.Journal().Events()))
+	if err != nil {
 		t.Fatal(err)
 	}
 	var tf TraceFile
-	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
-		t.Fatalf("nil trace invalid: %v", err)
+	if err := json.Unmarshal(raw, &tf); err != nil || tf.TraceEvents == nil {
+		t.Fatalf("nil trace invalid: %v (%s)", err, raw)
 	}
 }
 
@@ -94,11 +98,12 @@ func TestNilRecorderSafe(t *testing.T) {
 // recorder costs zero allocations on the hot loop.
 func TestDisabledPathZeroAlloc(t *testing.T) {
 	var r *Recorder
+	tc := TraceContext{Campaign: "c", Experiment: "c/e0001", TID: 1}
 	allocs := testing.AllocsPerRun(100, func() {
 		sp := r.Begin(PhaseScanIn, 0)
 		sp.End()
 		r.Count("x", 1)
-		r.BeginGroup("exp", 0).End()
+		r.BeginIn(PhaseWorkload, tc).End()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled path allocates %.1f per op", allocs)
@@ -120,37 +125,66 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEnabledMetricsNoTraceZeroAlloc: with metrics on but tracing off, leaf
-// spans still avoid allocation (value Span, atomic histogram).
+// TestEnabledMetricsNoTraceZeroAlloc: with metrics on but spans not
+// journalled — metrics only, or a provenance-only journal — leaf spans still
+// avoid allocation (value Span, atomic histogram, no event).
 func TestEnabledMetricsNoTraceZeroAlloc(t *testing.T) {
-	r := New(Options{})
-	allocs := testing.AllocsPerRun(100, func() {
-		sp := r.Begin(PhaseScanIn, 0)
-		sp.End()
-	})
-	if allocs != 0 {
-		t.Fatalf("metrics-only span allocates %.1f per op", allocs)
+	for _, o := range []Options{{}, {Journal: true}} {
+		r := New(o)
+		tc := TraceContext{Rec: r, Campaign: "c", Experiment: "c/e0001", TID: 1}
+		allocs := testing.AllocsPerRun(100, func() {
+			sp := r.Begin(PhaseScanIn, 0)
+			sp.End()
+			r.BeginIn(PhaseWorkload, tc).End()
+		})
+		if allocs != 0 {
+			t.Fatalf("span with %+v allocates %.1f per op", o, allocs)
+		}
+		if n := r.Journal().Len(); n != 0 {
+			t.Fatalf("span with %+v journalled %d events", o, n)
+		}
 	}
 }
 
 func TestRecorderPhasesAndTrace(t *testing.T) {
 	r := New(Options{Trace: true})
+	if !r.Tracing() {
+		t.Fatal("Trace option does not journal spans")
+	}
 	sp := r.Begin(PhaseWorkload, 2)
 	time.Sleep(time.Millisecond)
 	sp.End()
-	r.BeginGroup("exp/e0001", 2).End()
+	tc := TraceContext{Campaign: "c", Experiment: "exp/e0001", Index: 1, Attempt: 2, TID: 3}
+	r.BeginIn(PhaseScanIn, tc).End()
+	r.BeginIn(PhaseRetry, tc).EndEvent(EvRetry, "backoff=1ms")
 	if r.PhaseTotal(PhaseWorkload) < int64(time.Millisecond) {
 		t.Fatalf("workload total = %d", r.PhaseTotal(PhaseWorkload))
 	}
-	var buf bytes.Buffer
-	if err := r.WriteTrace(&buf); err != nil {
+	if n := r.phases[PhaseRetry].Count(); n != 1 {
+		t.Fatalf("retry phase count = %d", n)
+	}
+	events := r.Journal().Events()
+	if len(events) != 3 {
+		t.Fatalf("events = %+v", events)
+	}
+	// A span attributed to an attempt carries the whole context.
+	if ev := events[1]; ev.Kind != "scan-in" || ev.Experiment != "exp/e0001" ||
+		ev.Campaign != "c" || ev.Index != 1 || ev.Attempt != 2 || ev.TID != 3 {
+		t.Fatalf("attributed span event = %+v", ev)
+	}
+	if ev := events[2]; ev.Kind != EvRetry || ev.Detail != "backoff=1ms" || ev.DurNs <= 0 {
+		t.Fatalf("retry span event = %+v", ev)
+	}
+
+	raw, err := json.Marshal(ChromeTrace(events))
+	if err != nil {
 		t.Fatal(err)
 	}
 	var tf TraceFile
-	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
+	if err := json.Unmarshal(raw, &tf); err != nil {
 		t.Fatalf("trace invalid JSON: %v", err)
 	}
-	if len(tf.TraceEvents) != 2 {
+	if len(tf.TraceEvents) != 3 {
 		t.Fatalf("events = %d", len(tf.TraceEvents))
 	}
 	byName := map[string]TraceEvent{}
@@ -158,32 +192,50 @@ func TestRecorderPhasesAndTrace(t *testing.T) {
 		byName[e.Name] = e
 	}
 	wl, ok := byName["workload"]
-	if !ok || wl.Ph != "X" || wl.Cat != "phase" || wl.Tid != 2 || wl.Dur < 1000 {
+	if !ok || wl.Ph != "X" || wl.Tid != 2 || wl.Dur < 1000 {
 		t.Fatalf("workload event = %+v", wl)
 	}
-	if g, ok := byName["exp/e0001"]; !ok || g.Cat != "group" {
-		t.Fatalf("group event = %+v", g)
+	if e, ok := byName["scan-in exp/e0001"]; !ok || e.Tid != 3 {
+		t.Fatalf("attributed event = %+v (have %v)", e, byName)
 	}
 	if tf.DisplayTimeUnit != "ms" {
 		t.Fatalf("displayTimeUnit = %q", tf.DisplayTimeUnit)
 	}
 }
 
-func TestTraceCapDrops(t *testing.T) {
-	r := New(Options{Trace: true, TraceCap: 2})
+// TestJournalDropsReachOperators: when the ring overflows, the drop count
+// reaches the snapshot, the goofi stats rendering and the Prometheus
+// exposition, while the phase metrics keep counting every span.
+func TestJournalDropsReachOperators(t *testing.T) {
+	r := New(Options{Trace: true})
+	r.journal = NewJournal(2)
 	for i := 0; i < 5; i++ {
 		r.Begin(PhaseInit, 0).End()
 	}
-	buffered, dropped := r.tracer.stats()
-	if buffered != 2 || dropped != 3 {
-		t.Fatalf("buffered=%d dropped=%d", buffered, dropped)
+	if n := r.Journal().Len(); n != 2 {
+		t.Fatalf("buffered = %d", n)
 	}
-	if s := r.Snapshot(); s.TraceDropped != 3 {
+	s := r.Snapshot()
+	if s.TraceDropped != 3 {
 		t.Fatalf("snapshot dropped = %d", s.TraceDropped)
 	}
-	// Metrics keep counting past the trace cap.
 	if r.phases[PhaseInit].Count() != 5 {
 		t.Fatalf("phase count = %d", r.phases[PhaseInit].Count())
+	}
+	var out bytes.Buffer
+	s.Format(&out)
+	if !strings.Contains(out.String(), "trace events dropped: 3 (the oldest events were overwritten)") {
+		t.Fatalf("stats missing drop line:\n%s", out.String())
+	}
+	out.Reset()
+	if err := WritePrometheusMulti(&out, map[string]Snapshot{"c1": s, "c2": New(Options{Journal: true}).Snapshot()}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), `goofi_trace_events_dropped_total{campaign="c1"} 3`) {
+		t.Fatalf("exposition missing drop sample:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), `goofi_trace_events_dropped_total{campaign="c2"}`) {
+		t.Fatalf("exposition reports drops for a clean campaign:\n%s", out.String())
 	}
 }
 
@@ -258,28 +310,6 @@ func TestSnapshotFormat(t *testing.T) {
 		t.Fatalf("empty phase rendered:\n%s", out)
 	}
 }
-
-func TestGroupOf(t *testing.T) {
-	// Non-carrier values get a no-op span.
-	GroupOf(42, "x").End()
-	GroupOf(nil, "x").End()
-
-	r := New(Options{Trace: true})
-	c := testCarrier{r: r, tid: 3}
-	GroupOf(c, "inject").End()
-	buffered, _ := r.tracer.stats()
-	if buffered != 1 {
-		t.Fatalf("events = %d", buffered)
-	}
-}
-
-type testCarrier struct {
-	r   *Recorder
-	tid int32
-}
-
-func (c testCarrier) ObsvRecorder() *Recorder { return c.r }
-func (c testCarrier) ObsvTID() int32          { return c.tid }
 
 func TestPhaseString(t *testing.T) {
 	if PhaseScanIn.String() != "scan-in" || Phase(200).String() != "unknown" {

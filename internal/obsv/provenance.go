@@ -95,6 +95,26 @@ func EventBatch(ev WideEvent) int64 {
 	return n
 }
 
+// TraceEvent is one Chrome trace_event record: a complete ("X") slice or an
+// instant ("i") mark. The JSON field names follow the Trace Event Format
+// specification, so a dump loads directly into chrome://tracing or Perfetto.
+type TraceEvent struct {
+	Name string  `json:"name"`
+	Cat  string  `json:"cat"`
+	Ph   string  `json:"ph"`
+	TsUs float64 `json:"ts"`  // start, microseconds since the earliest event
+	Dur  float64 `json:"dur"` // duration, microseconds
+	Pid  int     `json:"pid"`
+	Tid  int32   `json:"tid"`
+}
+
+// TraceFile is the envelope ChromeTrace builds — the JSON Object Format of
+// the trace_event spec.
+type TraceFile struct {
+	TraceEvents     []TraceEvent `json:"traceEvents"`
+	DisplayTimeUnit string       `json:"displayTimeUnit"`
+}
+
 // ChromeTrace stitches wide events onto one Chrome trace_event timeline: one
 // process lane per shard (older journals; new events all share lane 1), one
 // thread lane per virtual thread, timestamps rebased to the earliest event.

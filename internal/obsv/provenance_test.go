@@ -1,6 +1,7 @@
 package obsv
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -32,6 +33,28 @@ func TestJournalRing(t *testing.T) {
 	if events[0].TimeNs == 0 {
 		t.Fatal("Emit did not stamp TimeNs")
 	}
+}
+
+// TestJournalGrowsOnDemand: a journal allocates event storage as events
+// arrive, not its full capacity up front — the service builds one per
+// queued campaign, and a span-capable ring holds 2^20 events.
+func TestJournalGrowsOnDemand(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := New(Options{Trace: true})
+	for i := 0; i < 10; i++ {
+		r.Journal().Emit(WideEvent{Kind: EvPlan, Index: i})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 64<<10 {
+		t.Fatalf("recorder with 10 journalled events retains %d B, want < 64 KiB", grew)
+	}
+	if events := r.Journal().Events(); len(events) != 10 || events[9].Index != 9 {
+		t.Fatalf("events = %+v", events)
+	}
+	runtime.KeepAlive(r)
 }
 
 // TestJournalNilSafe: every method of a nil journal is a no-op, matching the

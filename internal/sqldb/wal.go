@@ -74,11 +74,6 @@ const (
 	maxWALPayload = 64 << 20
 )
 
-// walCommitTID is the virtual thread id the committer's wal-append phase
-// spans are recorded under: the WAL has its own goroutine, so the phase stays
-// a leaf on its own timeline lane (-1, below the coordinator's 0).
-const walCommitTID int32 = -1
-
 // WALStats is a point-in-time summary of WAL activity, for logging and tests.
 type WALStats struct {
 	// Records and Bytes count appended statement records and their framed
@@ -624,12 +619,9 @@ func (w *wal) commit(final bool) (deferred bool) {
 		return false
 	}
 
-	journal := rec.Journal()
-	var began time.Time
-	if journal != nil {
-		began = time.Now()
-	}
-	sp := rec.Begin(obsv.PhaseWALAppend, walCommitTID)
+	// The WAL has its own goroutine, so the wal-append phase stays a leaf on
+	// its own timeline lane.
+	sp := rec.Begin(obsv.PhaseWALAppend, obsv.WALCommitTID)
 	err := w.retryTransient(rec, func() error {
 		_, werr := w.f.Write(buf)
 		return werr
@@ -655,7 +647,14 @@ func (w *wal) commit(final bool) (deferred bool) {
 			err = serr
 		}
 	}
-	sp.End()
+	if rec.Journal() != nil {
+		// One wide event per group-commit round: rows acknowledged by this
+		// batch name it (batch=N in their row-durable events), so a timeline
+		// can show which fsync made each row durable.
+		sp.EndEvent(obsv.EvWALCommit, fmt.Sprintf("batch=%d records=%d bytes=%d synced=%t err=%t", batch, len(waiters), len(buf), doSync, err != nil))
+	} else {
+		sp.End()
+	}
 	if err == nil {
 		w.records.Add(int64(len(waiters)))
 		w.bytes.Add(int64(len(buf)))
@@ -664,18 +663,6 @@ func (w *wal) commit(final bool) (deferred bool) {
 		rec.Count("wal.commit-batches", 1)
 	} else {
 		w.fail(err)
-	}
-	if journal != nil {
-		// One wide event per group-commit round: rows acknowledged by this
-		// batch name it (batch=N in their row-durable events), so a timeline
-		// can show which fsync made each row durable.
-		journal.Emit(obsv.WideEvent{
-			Kind:   obsv.EvWALCommit,
-			TID:    obsv.WALCommitTID,
-			TimeNs: began.UnixNano(),
-			DurNs:  time.Since(began).Nanoseconds(),
-			Detail: fmt.Sprintf("batch=%d records=%d bytes=%d synced=%t err=%t", batch, len(waiters), len(buf), doSync, err != nil),
-		})
 	}
 	for _, wt := range waiters {
 		wt.ch <- walAck{batch: batch, synced: doSync && err == nil, err: err}

@@ -24,9 +24,9 @@ import (
 // it answers for the wrapper, and an inner target without the capability
 // surfaces ErrNotImplemented at call time instead of probe time.
 //
-// Measured implements obsv.Carrier, so code holding only the Operations
-// interface (the injection algorithms) can open trace spans on the same
-// recorder via obsv.GroupOf.
+// Each span is attributed to the attempt context the runner stamped
+// (SetTraceContext), so with spans journalled a phase event names its
+// experiment.
 type Measured struct {
 	Operations
 	rec *obsv.Recorder
@@ -56,18 +56,14 @@ func MeasuredFactory(inner Factory, rec *obsv.Recorder) Factory {
 // (0 = sequential/coordinator, 1..N = pool workers).
 func (m *Measured) SetWorkerID(tid int32) { m.tid.Store(tid) }
 
-// ObsvRecorder returns the recorder (obsv.Carrier).
-func (m *Measured) ObsvRecorder() *obsv.Recorder { return m.rec }
-
-// ObsvTID returns the current virtual thread id (obsv.Carrier).
-func (m *Measured) ObsvTID() int32 { return m.tid.Load() }
-
 // Unwrap returns the wrapped target, for capability probes that need the
 // real implementation.
 func (m *Measured) Unwrap() Operations { return m.Operations }
 
 func (m *Measured) begin(p obsv.Phase) obsv.Span {
-	return m.rec.Begin(p, m.tid.Load())
+	tc := m.tc
+	tc.TID = m.tid.Load()
+	return m.rec.BeginIn(p, tc)
 }
 
 // InitTestCard times target power-up/reset as target-init.

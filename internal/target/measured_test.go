@@ -87,8 +87,8 @@ func TestMeasuredForwardsCapabilities(t *testing.T) {
 	if _, ok := ops.(ExperimentSeeder); !ok {
 		t.Error("Measured must forward ExperimentSeeder")
 	}
-	if _, ok := ops.(obsv.Carrier); !ok {
-		t.Error("Measured must implement obsv.Carrier")
+	if _, ok := ops.(TraceContextCarrier); !ok {
+		t.Error("Measured must carry the attempt's trace context")
 	}
 
 	// Checkpoint time must land in the checkpoint phase.
@@ -148,8 +148,8 @@ func TestMeasuredOptimisticProbes(t *testing.T) {
 // disabled state — operations pass straight through.
 func TestMeasuredNilRecorder(t *testing.T) {
 	m := NewMeasured(measuredStub{}, nil)
-	if m.ObsvRecorder() != nil {
-		t.Fatal("recorder should be nil")
+	if m.ObsvTraceContext().Enabled() {
+		t.Fatal("trace context should be disabled")
 	}
 	if _, err := m.ReadScanChain("x"); err != nil {
 		t.Fatal(err)
@@ -165,7 +165,9 @@ func TestMeasuredNilRecorder(t *testing.T) {
 }
 
 // TestMeasuredFactoryAndTID exercises the factory path and worker-id
-// tagging used by the parallel runner.
+// tagging used by the parallel runner: with spans journalled, every timed
+// operation becomes one event on the worker's thread, attributed to the
+// attempt context the runner stamped.
 func TestMeasuredFactoryAndTID(t *testing.T) {
 	rec := obsv.New(obsv.Options{Trace: true})
 	f := MeasuredFactory(SimpleFactory(), rec)
@@ -178,13 +180,31 @@ func TestMeasuredFactoryAndTID(t *testing.T) {
 		t.Fatalf("factory minted %T", ops)
 	}
 	m.SetWorkerID(3)
-	if m.ObsvTID() != 3 {
-		t.Fatalf("tid = %d", m.ObsvTID())
-	}
 	if m.Unwrap() == nil {
 		t.Fatal("unwrap")
 	}
-	// GroupOf reaches the recorder through the Operations interface.
-	sp := obsv.GroupOf(ops, "inject")
-	sp.End()
+	if err := m.InitTestCard(); err != nil {
+		t.Fatal(err)
+	}
+	// The runner stamps the attempt context; the same thread id travels in it.
+	ApplyTraceContext(ops, obsv.TraceContext{Rec: rec, Campaign: "c",
+		Experiment: "c/e0002", Index: 2, Attempt: 1, TID: 3})
+	if err := m.InitTestCard(); err != nil {
+		t.Fatal(err)
+	}
+	events := rec.Journal().Events()
+	if len(events) != 2 {
+		t.Fatalf("events = %+v", events)
+	}
+	for _, ev := range events {
+		if ev.Kind != "target-init" || ev.TID != 3 {
+			t.Fatalf("event = %+v, want target-init on tid 3", ev)
+		}
+	}
+	if ev := events[0]; ev.Experiment != "" {
+		t.Fatalf("span before any attempt attributed to %q", ev.Experiment)
+	}
+	if ev := events[1]; ev.Experiment != "c/e0002" || ev.Index != 2 || ev.Attempt != 1 || ev.Campaign != "c" {
+		t.Fatalf("attempt span event = %+v", ev)
+	}
 }
